@@ -86,11 +86,49 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _compile_sparse(matrix) -> tuple:
+    """The dense arrays of *matrix* from its sparse entry dict.
+
+    Positions are sorted-label order; node ids follow first appearance
+    in that order; entry ids follow the entry dict's order.
+    """
+    row_labels = sorted(matrix.rows)
+    col_labels = sorted(matrix.cols)
+    row_pos = {lab: i for i, lab in enumerate(row_labels)}
+    col_pos = {lab: i for i, lab in enumerate(col_labels)}
+    # Dense node ids: the gain correction only compares cells within
+    # one node, so rows carry an int id instead of the node name.
+    node_ids: Dict[str, int] = {}
+    row_node: List[int] = []
+    row_cost: List[int] = []
+    rows_map = matrix.rows
+    for lab in row_labels:
+        info = rows_map[lab]
+        row_cost.append(len(info.cokernel) + 1)
+        row_node.append(node_ids.setdefault(info.node, len(node_ids)))
+
+    col_rows = [0] * len(col_labels)
+    row_cols = [0] * len(row_labels)
+    cells: List[Dict[int, int]] = [dict() for _ in row_labels]
+    entry_cubes: List[Cube] = []
+    for (rlab, clab), cube in matrix.entries.items():
+        rpos = row_pos[rlab]
+        cpos = col_pos[clab]
+        row_cols[rpos] |= 1 << cpos
+        col_rows[cpos] |= 1 << rpos
+        cells[rpos][cpos] = len(entry_cubes)
+        entry_cubes.append(cube)
+    col_cost = [len(matrix.cols[lab]) for lab in col_labels]
+    return (row_labels, col_labels, row_pos, col_pos, row_node, list(node_ids),
+            row_cost, col_cost, row_cols, col_rows, cells, entry_cubes)
+
+
 class BitKCView:
     """Dense-position bitmask compilation of one KCMatrix snapshot.
 
-    Build with :meth:`KCMatrix.bitview` (cached) rather than directly;
-    the cache guarantees at most one compilation per matrix version.
+    Get it with :meth:`KCMatrix.bitview` (cached) rather than building
+    it directly; the cache guarantees at most one compilation per matrix
+    version.
     """
 
     __slots__ = (
@@ -115,55 +153,21 @@ class BitKCView:
         "_signature",
     )
 
-    def __init__(self, matrix) -> None:
-        row_labels = sorted(matrix.rows)
-        col_labels = sorted(matrix.cols)
-        self.row_labels: List[int] = row_labels
-        self.col_labels: List[int] = col_labels
-        row_pos = {lab: i for i, lab in enumerate(row_labels)}
-        col_pos = {lab: i for i, lab in enumerate(col_labels)}
-        self.row_pos: Dict[int, int] = row_pos
-        self.col_pos: Dict[int, int] = col_pos
-        self.col_cost: List[int] = [len(matrix.cols[lab]) for lab in col_labels]
+    def __init__(self, matrix=None, dense: Optional[tuple] = None) -> None:
+        """Compile *matrix*'s sparse form, or adopt *dense*.
 
-        # Dense node ids: the gain correction only compares cells within
-        # one node, so rows carry an int id instead of the node name.
-        node_ids: Dict[str, int] = {}
-        row_node: List[int] = []
-        node_names: List[str] = []
-        row_cost: List[int] = []
-        rows_map = matrix.rows
-        for lab in row_labels:
-            info = rows_map[lab]
-            row_cost.append(len(info.cokernel) + 1)
-            name = info.node
-            nid = node_ids.get(name)
-            if nid is None:
-                nid = len(node_names)
-                node_ids[name] = nid
-                node_names.append(name)
-            row_node.append(nid)
-        self.row_cost: List[int] = row_cost
-        self.row_node: List[int] = row_node
-        self.node_names: List[str] = node_names
-
-        col_rows = [0] * len(col_labels)
-        row_cols = [0] * len(row_labels)
-        cells: List[Dict[int, int]] = [dict() for _ in row_labels]
-        entry_cubes: List[Cube] = []
-        eid = 0
-        for (rlab, clab), cube in matrix.entries.items():
-            rpos = row_pos[rlab]
-            cpos = col_pos[clab]
-            row_cols[rpos] |= 1 << cpos
-            col_rows[cpos] |= 1 << rpos
-            cells[rpos][cpos] = eid
-            entry_cubes.append(cube)
-            eid += 1
-        self.row_cols: List[int] = row_cols
-        self.col_rows: List[int] = col_rows
-        self.cells: List[Dict[int, int]] = cells
-        self.entry_cubes: List[Cube] = entry_cubes
+        *dense* is ``(row_labels, col_labels, row_pos, col_pos, row_node,
+        node_names, row_cost, col_cost, row_cols, col_rows, cells,
+        entry_cubes)`` as :func:`~repro.rectangles.kcmatrix.build_kc_matrix`
+        compiles it straight from its row blocks.
+        """
+        if dense is None:
+            dense = _compile_sparse(matrix)
+        (
+            self.row_labels, self.col_labels, self.row_pos, self.col_pos,
+            self.row_node, self.node_names, self.row_cost, self.col_cost,
+            self.row_cols, self.col_rows, self.cells, self.entry_cubes,
+        ) = dense
         self._default_values: Optional[List[int]] = None
         self._neg_above: Optional[List[int]] = None
         self._dup_rows: Optional[Set[int]] = None

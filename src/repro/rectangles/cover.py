@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
-from repro.algebra.kernels import Kernel, kernels
 from repro.algebra.sop import Sop
 from repro.machine.cancel import check_cancelled
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.network.boolean_network import BooleanNetwork
-from repro.obs.tracer import active_tracer
-from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
+from repro.obs.tracer import NULL_SPAN, active_tracer
+from repro.rectangles.kcmatrix import KCMatrix, RowBlock, build_kc_matrix, row_block
 from repro.rectangles.pingpong import best_rectangle_pingpong
 from repro.rectangles.rectangle import (
     Rectangle,
@@ -83,7 +82,6 @@ def apply_rectangle(
     kernel_sop = rectangle_kernel(matrix, rect)
     if new_name is None:
         new_name = network.new_node_name()
-    before = network.literal_count()
     network.add_node(new_name, kernel_sop)
     x_lit = network.table.id_of(new_name)
 
@@ -105,6 +103,9 @@ def apply_rectangle(
             for c in rect.cols:
                 per_node.add(matrix.entries[(r, c)])
 
+    # Only the rewritten nodes and the new one change, so the LC delta
+    # is measured on them alone rather than on the whole network.
+    delta = -network.literal_count(new_name)
     for node, rows in sorted(rows_by_node.items()):
         covered = covered_by_node[node]
         replacements: List[Cube] = [
@@ -112,15 +113,16 @@ def apply_rectangle(
         ]
         new_cubes = [cu for cu in network.nodes[node] if cu not in covered]
         new_cubes.extend(replacements)
+        delta += network.literal_count(node)
         network.set_expression(node, new_cubes)
+        delta -= network.literal_count(node)
 
-    after = network.literal_count()
     return AppliedExtraction(
         new_node=new_name,
         kernel=kernel_sop,
         rectangle=rect,
         gain=gain,
-        actual_delta=before - after,
+        actual_delta=delta,
         modified_nodes=tuple(sorted(rows_by_node)),
     )
 
@@ -181,8 +183,13 @@ def kernel_extract(
     if tr is not None and meter is None:
         meter = CostMeter()
 
+    def _span(name: str):
+        if tr is None:
+            return NULL_SPAN
+        return tr.span(name, cat="seq", virtual_start=_vnow())
+
     def _vnow() -> Optional[float]:
-        return model.compute_time(meter.counts) if meter is not None else None
+        return model.compute_time(meter.counts) if tr is not None else None
 
     if isinstance(searcher, str):
         searcher = make_searcher(
@@ -192,35 +199,27 @@ def kernel_extract(
     for n in active:
         if n not in network.nodes:
             raise KeyError(f"unknown node {n!r}")
-    kernel_cache: Dict[str, List[Kernel]] = {}
+    blocks: Dict[str, RowBlock] = {}
     result = KernelExtractionResult(
         initial_lc=network.literal_count(), final_lc=network.literal_count()
     )
     counter = 0
     while max_iterations is None or result.iterations < max_iterations:
         check_cancelled()
-        if tr is None:
-            matrix = build_kc_matrix(
-                network, nodes=sorted(active), kernel_cache=kernel_cache, meter=meter
-            )
+        order = sorted(active)
+        # Kernel generation gets its own span, apart from the matrix
+        # compile, by filling the row-block cache first.
+        with _span("kernel-gen") as sp:
+            for n in order:
+                if n not in blocks:
+                    blocks[n] = row_block(n, network.nodes[n], meter)
+            sp.set_virtual_end(_vnow())
+        with _span("kc-build") as sp:
+            matrix = build_kc_matrix(network, nodes=order, blocks=blocks, meter=meter)
+            sp.set_virtual_end(_vnow())
+        with _span("rect-search") as sp:
             best = searcher(matrix)
-        else:
-            # Pre-warm the kernel cache under its own span so kernel
-            # generation and matrix build are separately attributable.
-            with tr.span("kernel-gen", cat="seq", virtual_start=_vnow()) as sp:
-                for n in sorted(active):
-                    if n not in kernel_cache:
-                        kernel_cache[n] = kernels(network.nodes[n], meter=meter)
-                sp.set_virtual_end(_vnow())
-            with tr.span("kc-build", cat="seq", virtual_start=_vnow()) as sp:
-                matrix = build_kc_matrix(
-                    network, nodes=sorted(active),
-                    kernel_cache=kernel_cache, meter=meter,
-                )
-                sp.set_virtual_end(_vnow())
-            with tr.span("rect-search", cat="seq", virtual_start=_vnow()) as sp:
-                best = searcher(matrix)
-                sp.set_virtual_end(_vnow())
+            sp.set_virtual_end(_vnow())
         if best is None:
             break
         rect, gain = best
@@ -230,25 +229,17 @@ def kernel_extract(
         while new_name in network.nodes or network.is_input(new_name):
             counter += 1
             new_name = f"{name_prefix}{counter}]"
-        if tr is None:
+        with _span("extract-commit") as sp:
             applied = apply_rectangle(
                 network, matrix, rect, new_name=new_name, gain=gain
             )
             if meter is not None:
                 meter.charge("divide_node", len(applied.modified_nodes))
-        else:
-            with tr.span("extract-commit", cat="seq",
-                         virtual_start=_vnow()) as sp:
-                applied = apply_rectangle(
-                    network, matrix, rect, new_name=new_name, gain=gain
-                )
-                if meter is not None:
-                    meter.charge("divide_node", len(applied.modified_nodes))
-                sp.set_virtual_end(_vnow())
-                sp.add_counters(gain=gain, modified=len(applied.modified_nodes))
+            sp.set_virtual_end(_vnow())
+            sp.add_counters(gain=gain, modified=len(applied.modified_nodes))
         counter += 1
         for n in applied.modified_nodes:
-            kernel_cache.pop(n, None)
+            blocks.pop(n, None)
         active.add(applied.new_node)
         result.steps.append(applied)
     result.final_lc = network.literal_count()

@@ -10,11 +10,12 @@ between processors splice together without renumbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
-from repro.algebra.kernels import Kernel, kernels
+from repro.algebra.kernels import kernels
 from repro.algebra.sop import Sop
 from repro.verify import audit as _audit
 
@@ -32,7 +33,39 @@ class RowInfo:
     cokernel: Cube
 
 
-@dataclass
+class _ViewEntries(Mapping):
+    """Read-only ``(row, col) → cube`` map over a compiled view.
+
+    Stands in for the entry dict of a matrix compiled from row blocks
+    until something needs the dict itself, so ``len`` and lookups cost
+    no materialisation.  Iterates in entry-id order.
+    """
+
+    __slots__ = ("_view",)
+
+    def __init__(self, view) -> None:
+        self._view = view
+
+    def __len__(self) -> int:
+        return len(self._view.entry_cubes)
+
+    def __getitem__(self, key: Tuple[int, int]) -> Cube:
+        view = self._view
+        try:
+            rpos = view.row_pos[key[0]]
+            return view.entry_cubes[view.cells[rpos][view.col_pos[key[1]]]]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        view = self._view
+        row_labels, col_labels = view.row_labels, view.col_labels
+        for rpos, rcells in enumerate(view.cells):
+            r = row_labels[rpos]
+            for cpos in rcells:
+                yield (r, col_labels[cpos])
+
+
 class KCMatrix:
     """Sparse KC matrix keyed by integer row/column labels.
 
@@ -40,31 +73,78 @@ class KCMatrix:
     obtained as ``rows[r].cokernel ∪ cols[c]``.  ``by_row``/``by_col``
     are adjacency indexes kept consistent by :meth:`add_entry` /
     :meth:`remove_row`.
+
+    A matrix from :func:`build_kc_matrix` starts out as its compiled
+    bitset view plus ``rows``/``cols``/``col_of_cube``/``node_rows``:
+    ``entries`` reads through the view, and the entry dict and both
+    adjacency indexes are derived from it the first time a caller reads
+    ``by_row``/``by_col`` or mutates the matrix.
     """
 
-    rows: Dict[int, RowInfo] = field(default_factory=dict)
-    cols: Dict[int, Cube] = field(default_factory=dict)
-    col_of_cube: Dict[Cube, int] = field(default_factory=dict)
-    entries: Dict[Tuple[int, int], Cube] = field(default_factory=dict)
-    by_row: Dict[int, Set[int]] = field(default_factory=dict)
-    by_col: Dict[int, Set[int]] = field(default_factory=dict)
-    node_rows: Dict[str, Set[int]] = field(default_factory=dict)
-    _version: int = field(default=0, repr=False, compare=False)
-    _bitview: Optional[object] = field(default=None, repr=False, compare=False)
+    def __init__(self) -> None:
+        self.rows: Dict[int, RowInfo] = {}
+        self.cols: Dict[int, Cube] = {}
+        self.col_of_cube: Dict[Cube, int] = {}
+        self.node_rows: Dict[str, Set[int]] = {}
+        # None while the view is the only form (see _sparse).
+        self._entries: Optional[Dict[Tuple[int, int], Cube]] = {}
+        self._by_row: Dict[int, Set[int]] = {}
+        self._by_col: Dict[int, Set[int]] = {}
+        self._bitview = None
+
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], Cube]:
+        if self._entries is None:
+            return _ViewEntries(self._bitview)
+        return self._entries
+
+    @property
+    def by_row(self) -> Dict[int, Set[int]]:
+        if self._entries is None:
+            self._sparse()
+        return self._by_row
+
+    @property
+    def by_col(self) -> Dict[int, Set[int]]:
+        if self._entries is None:
+            self._sparse()
+        return self._by_col
+
+    def _sparse(self) -> None:
+        """Derive the entry dict and adjacency from the view; callers
+        check first that ``_entries`` is None (the view is the only form)."""
+        view = self._bitview
+        row_labels, col_labels = view.row_labels, view.col_labels
+        cubes = view.entry_cubes
+        entries: Dict[Tuple[int, int], Cube] = {}
+        by_row: Dict[int, Set[int]] = {r: set() for r in row_labels}
+        by_col: Dict[int, Set[int]] = {c: set() for c in col_labels}
+        for rpos, rcells in enumerate(view.cells):
+            r = row_labels[rpos]
+            adj = by_row[r]
+            for cpos, eid in rcells.items():
+                c = col_labels[cpos]
+                entries[(r, c)] = cubes[eid]
+                adj.add(c)
+                by_col[c].add(r)
+        self._entries, self._by_row, self._by_col = entries, by_row, by_col
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
         """Record a structural mutation; drops the cached bitset view."""
-        self._version += 1
+        if self._entries is None:
+            self._sparse()
         self._bitview = None
 
     def add_row(self, label: int, node: str, cokernel: Cube) -> None:
         if label in self.rows:
             raise ValueError(f"duplicate row label {label}")
+        if self._entries is None:
+            self._sparse()
         self.rows[label] = RowInfo(node, cokernel)
-        self.by_row[label] = set()
+        self._by_row[label] = set()
         self.node_rows.setdefault(node, set()).add(label)
         if _audit.enabled():
             _audit.audit_row_added(self, label)
@@ -78,27 +158,33 @@ class KCMatrix:
         label = label_factory()
         if label in self.cols:
             raise ValueError(f"duplicate column label {label}")
+        if self._entries is None:
+            self._sparse()
         self.cols[label] = cube
         self.col_of_cube[cube] = label
-        self.by_col[label] = set()
+        self._by_col[label] = set()
         if _audit.enabled():
             _audit.audit_col_added(self, label)
         self._touch()
         return label
 
     def add_entry(self, row: int, col: int) -> None:
+        if self._entries is None:
+            self._sparse()
         info = self.rows[row]
-        self.entries[(row, col)] = cube_union(info.cokernel, self.cols[col])
-        self.by_row[row].add(col)
-        self.by_col[col].add(row)
+        self._entries[(row, col)] = cube_union(info.cokernel, self.cols[col])
+        self._by_row[row].add(col)
+        self._by_col[col].add(row)
         if _audit.enabled():
             _audit.audit_entry_added(self, row, col)
         self._touch()
 
     def remove_row(self, label: int) -> None:
-        for col in self.by_row.pop(label, set()):
-            self.by_col[col].discard(label)
-            self.entries.pop((label, col), None)
+        if self._entries is None:
+            self._sparse()
+        for col in self._by_row.pop(label, set()):
+            self._by_col[col].discard(label)
+            self._entries.pop((label, col), None)
         info = self.rows.pop(label, None)
         if info is not None:
             node_set = self.node_rows.get(info.node)
@@ -111,10 +197,12 @@ class KCMatrix:
         self._touch()
 
     def remove_col(self, label: int) -> None:
+        if self._entries is None:
+            self._sparse()
         cube = self.cols.get(label)
-        for row in self.by_col.pop(label, set()):
-            self.by_row[row].discard(label)
-            self.entries.pop((row, label), None)
+        for row in self._by_col.pop(label, set()):
+            self._by_row[row].discard(label)
+            self._entries.pop((row, label), None)
         if cube is not None:
             self.col_of_cube.pop(cube, None)
         self.cols.pop(label, None)
@@ -155,8 +243,9 @@ class KCMatrix:
     def bitview(self):
         """The cached dense bitset view (see :mod:`repro.rectangles.bitview`).
 
-        Compiled lazily and dropped by every structural mutation, so the
-        greedy extraction loops rebuild it exactly once per matrix
+        :func:`build_kc_matrix` compiles it with the matrix; otherwise it
+        is compiled from the sparse form on first use.  Every structural
+        mutation drops it, so it is compiled exactly once per matrix
         version no matter how many searches share the matrix.
         """
         view = self._bitview
@@ -252,38 +341,117 @@ class LabelAllocator:
         return label
 
 
+#: One node's KC rows, in kernel order: each kernel's row, its cost
+#: ``|cokernel| + 1``, its kernel cubes and the matching entry cubes
+#: ``cokernel ∪ kernel cube``.
+RowBlock = Tuple[Tuple[RowInfo, int, Tuple[Cube, ...], Tuple[Cube, ...]], ...]
+
+
+def row_block(node: str, f: Sop, meter=None) -> RowBlock:
+    """Enumerate the kernels of *node* (expression *f*) as a row block."""
+    return tuple(
+        (
+            RowInfo(node, kern.cokernel),
+            len(kern.cokernel) + 1,
+            tuple(kern.expression),
+            tuple(cube_union(kern.cokernel, kc) for kc in kern.expression),
+        )
+        for kern in kernels(f, meter=meter)
+    )
+
+
 def build_kc_matrix(
     network,
     nodes: Optional[Iterable[str]] = None,
     pid: int = 0,
-    kernel_cache: Optional[Dict[str, List[Kernel]]] = None,
+    blocks: Optional[Dict[str, RowBlock]] = None,
     meter=None,
 ) -> KCMatrix:
     """Build the KC matrix for *nodes* of *network* (default: all nodes).
 
     *pid* selects the label space (processor id); sequential callers use
-    0.  *kernel_cache* maps node name → kernel list and is filled in (and
-    trusted) when provided, so the greedy loop only re-enumerates kernels
-    of nodes it modified.
+    0.  *blocks* maps node name → :data:`RowBlock` and is filled in (and
+    trusted) when provided, so the greedy loop only re-enumerates the
+    kernels of nodes it modified.
+
+    One pass over the blocks fills ``rows``/``cols``/``col_of_cube``/
+    ``node_rows`` and compiles the bitset view directly: rows are
+    labelled in node then kernel order, columns in first-encounter
+    order, so dense positions are label order by construction.  The
+    sparse entry dict and adjacency are derived later, only if read.
     """
-    mat = KCMatrix()
-    row_alloc = LabelAllocator(pid)
-    col_alloc = LabelAllocator(pid)
+    from repro.rectangles.bitview import BitKCView
+
+    if blocks is None:
+        blocks = {}
+    base = pid * LABEL_OFFSET + 1
     node_list = list(nodes) if nodes is not None else list(network.topological_order())
+    rows: Dict[int, RowInfo] = {}
+    node_rows: Dict[str, Set[int]] = {}
+    col_pos: Dict[Cube, int] = {}
+    col_cubes: List[Cube] = []
+    col_rows: List[int] = []
+    node_ids: Dict[str, int] = {}
+    row_node: List[int] = []
+    row_cost: List[int] = []
+    row_cols: List[int] = []
+    cells: List[Dict[int, int]] = []
+    entry_cubes: List[Cube] = []
     for node in node_list:
-        f: Sop = network.nodes[node]
-        if kernel_cache is not None and node in kernel_cache:
-            ks = kernel_cache[node]
-        else:
-            ks = kernels(f, meter=meter)
-            if kernel_cache is not None:
-                kernel_cache[node] = ks
-        for kern in ks:
-            row = row_alloc()
-            mat.add_row(row, node, kern.cokernel)
-            for kc in kern.expression:
-                col = mat.ensure_col(kc, col_alloc)
-                mat.add_entry(row, col)
-                if meter is not None:
-                    meter.charge("kc_entry", 1)
+        block = blocks.get(node)
+        if block is None:
+            block = blocks[node] = row_block(node, network.nodes[node], meter)
+        if not block:
+            continue
+        nid = node_ids.setdefault(node, len(node_ids))
+        first = len(row_cost)
+        eid0 = eid = len(entry_cubes)
+        for info, cost, kcubes, ecubes in block:
+            rpos = len(row_cost)
+            rows[base + rpos] = info
+            row_node.append(nid)
+            row_cost.append(cost)
+            rbit = 1 << rpos
+            mask = 0
+            rcells: Dict[int, int] = {}
+            for kc in kcubes:
+                cpos = col_pos.get(kc)
+                if cpos is None:
+                    cpos = col_pos[kc] = len(col_cubes)
+                    col_cubes.append(kc)
+                    col_rows.append(rbit)
+                else:
+                    col_rows[cpos] |= rbit
+                mask |= 1 << cpos
+                rcells[cpos] = eid
+                eid += 1
+            row_cols.append(mask)
+            cells.append(rcells)
+            entry_cubes.extend(ecubes)
+        node_rows.setdefault(node, set()).update(range(base + first, base + len(row_cost)))
+        if meter is not None and eid > eid0:
+            meter.charge("kc_entry", eid - eid0)
+    if max(len(row_cost), len(col_cubes)) >= LABEL_OFFSET:
+        raise OverflowError("label space for this processor exhausted")
+
+    row_labels = list(rows)
+    col_labels = list(range(base, base + len(col_cubes)))
+    mat = KCMatrix()
+    mat.rows = rows
+    mat.node_rows = node_rows
+    mat.cols = dict(zip(col_labels, col_cubes))
+    # col_pos iterates in position order, so labels zip straight on.
+    mat.col_of_cube = dict(zip(col_pos, col_labels))
+    mat._entries = None
+    mat._bitview = BitKCView(dense=(
+        row_labels, col_labels,
+        dict(zip(row_labels, range(len(row_labels)))),
+        dict(zip(col_labels, range(len(col_labels)))),
+        row_node, list(node_ids), row_cost, list(map(len, col_cubes)),
+        row_cols, col_rows, cells, entry_cubes,
+    ))
+    if _audit.enabled():
+        mat._sparse()  # the audits below read the derived sparse form
+        _audit.audit_kcmatrix(mat)
+        _audit.audit_bitview(mat, mat._bitview)
     return mat

@@ -16,9 +16,10 @@ lazily) or :func:`set_audits` from code.  When enabled:
 
 - every :class:`KCMatrix` mutator validates the delta it just applied
   (O(delta), not O(matrix)),
-- splice-style bulk operations (``merge``, ``submatrix_columns``) and
-  every bitset-view compilation validate the full structure, including
-  sparse/bitview parity,
+- splice-style bulk operations (``merge``, ``submatrix_columns``),
+  every bitset-view compilation and every ``build_kc_matrix`` (which
+  then derives the sparse form from the view it compiled) validate the
+  full structure, including sparse/bitview parity,
 - every ``CubeStateStore`` operation validates the records it touched
   (claim/value/owner consistency — the no-double-cover invariant).
 

@@ -69,3 +69,25 @@ def test_extraction_deterministic(seed):
     rb = kernel_extract(b)
     assert ra.final_lc == rb.final_lc
     assert a.nodes == b.nodes
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), two_level=st.booleans())
+def test_actual_delta_is_whole_network_lc_difference(seed, two_level):
+    """apply_rectangle measures ΔLC on the nodes it rewrites; that must
+    equal the whole-network difference, for any rectangle applied."""
+    from repro.rectangles.cover import apply_rectangle
+
+    rng = random.Random(seed)
+    net = tiny_circuit(seed, two_level)
+    for step in range(4):
+        mat = build_kc_matrix(net)
+        rects = list(enumerate_rectangles(mat))[:20]
+        if not rects:
+            break
+        rect, _ = rng.choice(rects)
+        if step % 2:
+            mat._touch()  # also cover the path without a live view
+        before = net.literal_count()
+        applied = apply_rectangle(net, mat, rect, new_name=f"[r{step}]")
+        assert applied.actual_delta == before - net.literal_count()

@@ -74,12 +74,15 @@ class TestBuild:
         assert all(r > 3 * LABEL_OFFSET for r in mat.rows)
         assert all(c > 3 * LABEL_OFFSET for c in mat.cols)
 
-    def test_kernel_cache_filled_and_used(self, eq1_network):
+    def test_block_cache_filled_and_used(self, eq1_network):
         cache = {}
-        m1 = build_kc_matrix(eq1_network, kernel_cache=cache)
+        meter = CostMeter()
+        m1 = build_kc_matrix(eq1_network, blocks=cache, meter=meter)
         assert set(cache) == {"F", "G", "H"}
-        m2 = build_kc_matrix(eq1_network, kernel_cache=cache)
-        assert m1.num_rows == m2.num_rows
+        visits = meter.counts["kernel_cube_visit"]
+        m2 = build_kc_matrix(eq1_network, blocks=cache, meter=meter)
+        assert meter.counts["kernel_cube_visit"] == visits  # no re-enumeration
+        assert m1.rows == m2.rows and dict(m1.entries) == dict(m2.entries)
 
     def test_meter_charged(self, eq1_network):
         meter = CostMeter()
