@@ -39,10 +39,15 @@ algorithms' exchange/splice protocol is untouched.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import threading
+from itertools import chain
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube
+from repro.rectangles.kcmatrix import dup_row_indices, node_is_clean
 from repro.rectangles.rectangle import ValueFn, default_value
 
 CubeRef = Tuple[str, Cube]
@@ -84,6 +89,26 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+#: ``_NEG_ABOVE[p] == -(1 << (p + 1))``, shared by every view.  Grown
+#: by building a longer list and swapping it in under the lock, so a
+#: search in another thread keeps reading the list it already loaded.
+_NEG_ABOVE: List[int] = []
+_NEG_ABOVE_LOCK = threading.Lock()
+
+
+def neg_above_table(n: int) -> List[int]:
+    """The shared ``neg_above`` table, at least *n* entries long."""
+    global _NEG_ABOVE
+    table = _NEG_ABOVE
+    if len(table) < n:
+        with _NEG_ABOVE_LOCK:
+            table = _NEG_ABOVE
+            if len(table) < n:
+                table = table + [-(1 << (p + 1)) for p in range(len(table), n)]
+                _NEG_ABOVE = table
+    return table
 
 
 def _compile_sparse(matrix) -> tuple:
@@ -144,8 +169,8 @@ class BitKCView:
         "node_names",
         "row_cost",
         "col_cost",
+        "_blocks",
         "_default_values",
-        "_neg_above",
         "_dup_rows",
         "_clean_rows",
         "_dominated_anchors",
@@ -153,13 +178,18 @@ class BitKCView:
         "_signature",
     )
 
-    def __init__(self, matrix=None, dense: Optional[tuple] = None) -> None:
+    def __init__(
+        self, matrix=None, dense: Optional[tuple] = None, blocks: Optional[list] = None
+    ) -> None:
         """Compile *matrix*'s sparse form, or adopt *dense*.
 
         *dense* is ``(row_labels, col_labels, row_pos, col_pos, row_node,
         node_names, row_cost, col_cost, row_cols, col_rows, cells,
         entry_cubes)`` as :func:`~repro.rectangles.kcmatrix.build_kc_matrix`
-        compiles it straight from its row blocks.
+        compiles it straight from its row blocks; *blocks* is then the
+        ordered ``(first row position, RowBlock)`` list it compiled, one
+        pair per node, from which :meth:`signature`, :meth:`dup_rows`
+        and :meth:`clean_rows_mask` are assembled in O(nodes).
         """
         if dense is None:
             dense = _compile_sparse(matrix)
@@ -168,8 +198,8 @@ class BitKCView:
             self.row_node, self.node_names, self.row_cost, self.col_cost,
             self.row_cols, self.col_rows, self.cells, self.entry_cubes,
         ) = dense
+        self._blocks = blocks
         self._default_values: Optional[List[int]] = None
-        self._neg_above: Optional[List[int]] = None
         self._dup_rows: Optional[Set[int]] = None
         self._clean_rows: Optional[int] = None
         self._dominated_anchors: Optional[int] = None
@@ -197,30 +227,16 @@ class BitKCView:
         co-kernel, so distinct columns give distinct cubes.  Hand-built
         matrices can violate that (a column cube may overlap the
         co-kernel), and the distinct-cube gain correction must then also
-        dedupe within single rows.  Detection is cheap: a row is clean
-        whenever every cell's cube length equals |cokernel| + |kc| (the
-        disjoint case); only rows with an overlapping cell pay for cube
-        hashing.
+        dedupe within single rows.  Assembled from the row blocks when
+        the view was compiled from them, else scanned.
         """
         got = self._dup_rows
         if got is None:
-            got = set()
-            cubes = self.entry_cubes
-            col_cost = self.col_cost
-            row_cost = self.row_cost
-            for rpos, rcells in enumerate(self.cells):
-                if len(rcells) < 2:
-                    continue
-                base = row_cost[rpos] - 1
-                disjoint = True
-                for cpos, eid in rcells.items():
-                    if len(cubes[eid]) != base + col_cost[cpos]:
-                        disjoint = False
-                        break
-                if disjoint:
-                    continue
-                if len({cubes[eid] for eid in rcells.values()}) < len(rcells):
-                    got.add(rpos)
+            blocks = self._blocks
+            if blocks is None:
+                got = self.scan_dup_rows()
+            else:
+                got = {first + i for first, block in blocks for i in block.dup_rows()}
             self._dup_rows = got
         return got
 
@@ -229,14 +245,12 @@ class BitKCView:
 
         ANDing with ``neg_above[p]`` keeps exactly the bits strictly
         greater than ``p`` — the ordered-tree "only extend rightwards"
-        filter.  Cached so the per-node mask is a table load instead of a
-        fresh big-int shift at every search-tree node.
+        filter — so the per-node mask is a table load instead of a fresh
+        big-int shift at every search-tree node.  The table depends only
+        on the column position and is shared by all views; it may be
+        longer than this view's column count.
         """
-        table = self._neg_above
-        if table is None:
-            table = [-(1 << (p + 1)) for p in range(len(self.col_labels))]
-            self._neg_above = table
-        return table
+        return neg_above_table(len(self.col_labels))
 
     def clean_rows_mask(self) -> int:
         """Bitmask of rows belonging to *clean* nodes.
@@ -248,30 +262,59 @@ class BitKCView:
         its full cell values.  The v2 dominance prune is only sound for
         columns whose rows are all clean (see
         :func:`repro.rectangles.search.best_rectangle_exhaustive`).
+        Assembled from the row blocks when the view was compiled from
+        them, else scanned.
         """
         got = self._clean_rows
         if got is None:
-            cubes = self.entry_cubes
-            node_rows: Dict[int, List[int]] = {}
-            for rpos, nid in enumerate(self.row_node):
-                node_rows.setdefault(nid, []).append(rpos)
-            got = 0
-            for nid, rows in node_rows.items():
-                seen: Set = set()
-                clean = True
-                for rpos in rows:
-                    for eid in self.cells[rpos].values():
-                        cube = cubes[eid]
-                        if cube in seen:
-                            clean = False
-                            break
-                        seen.add(cube)
-                    if not clean:
-                        break
-                if clean:
-                    for rpos in rows:
-                        got |= 1 << rpos
+            blocks = self._blocks
+            if blocks is None:
+                got = self.scan_clean_rows_mask()
+            else:
+                got = 0
+                for first, block in blocks:
+                    if block.clean():
+                        got |= ((1 << len(block.rows)) - 1) << first
             self._clean_rows = got
+        return got
+
+    def scan_dup_rows(self) -> Set[int]:
+        """:meth:`dup_rows` by a full scan of the cells."""
+        cubes = self.entry_cubes
+        col_cost = self.col_cost
+        row_cost = self.row_cost
+        cells = self.cells
+        # dup_row_indices's length bound summed over the whole view: when
+        # the totals meet it, no cell overlaps and no row repeats a cube.
+        bound = (
+            sum(map(mul, row_cost, map(len, cells))) - len(cubes)
+            + sum(map(mul, col_cost, map(popcount, self.col_rows)))
+        )
+        if sum(map(len, cubes)) == bound:
+            return set()
+        return set(dup_row_indices(
+            (
+                row_cost[rpos] - 1,
+                map(col_cost.__getitem__, rcells),
+                list(map(cubes.__getitem__, rcells.values())),
+            )
+            for rpos, rcells in enumerate(cells)
+        ))
+
+    def scan_clean_rows_mask(self) -> int:
+        """:meth:`clean_rows_mask` by a full scan of the cells."""
+        cubes = self.entry_cubes
+        cells = self.cells
+        node_rows: Dict[int, List[int]] = {}
+        for rpos, nid in enumerate(self.row_node):
+            node_rows.setdefault(nid, []).append(rpos)
+        got = 0
+        for rows in node_rows.values():
+            if node_is_clean(map(cubes.__getitem__, chain.from_iterable(
+                cells[rpos].values() for rpos in rows
+            ))):
+                for rpos in rows:
+                    got |= 1 << rpos
         return got
 
     def dominated_anchors(self) -> int:
@@ -337,44 +380,27 @@ class BitKCView:
             self._suffix_pot = got
         return got
 
-    def signature(self) -> str:
-        """Canonical content hash of this matrix snapshot.
+    def signature(self) -> Optional[str]:
+        """The rectangle-memo key of this view, or None.
 
-        Two matrices whose sorted-label compilations are structurally
-        identical — same shape, same incidence, same row/column costs,
-        same node partition of the rows and same cube-identity pattern
-        among cells (captured as dense first-occurrence ids per
-        ``(node, cube)``) — hash equally, regardless of what offset
-        labels the jobs used.  Everything the exhaustive search's result
-        depends on is in the payload, so the hash is a sound memo key
-        for :mod:`repro.rectangles.memo`.  Cached with the view: any
-        matrix mutation drops the view and hence the signature.
+        Only a view compiled from row blocks has one: the sha256, tagged
+        ``rectsig/2``, of its blocks' expression digests in row order.
+        The compiled matrix — positions, costs, incidence, node
+        partition and entry cubes, everything the exhaustive search
+        reads — is a deterministic function of that sequence, so equal
+        keys mean identical position-space search input.  Views compiled
+        from a sparse matrix (hand-built, mutated after build, or a
+        parallel algorithm's slab) return None and skip the memo.
         """
         got = self._signature
         if got is None:
-            import hashlib
-
-            values = self.value_table(default_value)
-            cube_ids: Dict[Tuple[int, Cube], int] = {}
-            items: List[Tuple[int, int, int, int]] = []
-            for rpos, rcells in enumerate(self.cells):
-                nid = self.row_node[rpos]
-                for cpos in sorted(rcells):
-                    eid = rcells[cpos]
-                    key = (nid, self.entry_cubes[eid])
-                    cid = cube_ids.setdefault(key, len(cube_ids))
-                    items.append((rpos, cpos, cid, values[eid]))
-            payload = repr((
-                "rectsig/1",
-                len(self.row_labels),
-                len(self.col_labels),
-                tuple(self.row_cost),
-                tuple(self.col_cost),
-                tuple(self.row_node),
-                tuple(items),
-            )).encode()
-            got = hashlib.sha256(payload).hexdigest()
-            self._signature = got
+            blocks = self._blocks
+            if blocks is None:
+                return None
+            h = hashlib.sha256(b"rectsig/2")
+            for _, block in blocks:
+                h.update(block.digest())
+            got = self._signature = h.hexdigest()
         return got
 
     def value_table(self, value_fn: ValueFn = default_value) -> List[int]:

@@ -10,9 +10,11 @@ between processors splice together without renumbering.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import kernels
@@ -341,15 +343,92 @@ class LabelAllocator:
         return label
 
 
-#: One node's KC rows, in kernel order: each kernel's row, its cost
-#: ``|cokernel| + 1``, its kernel cubes and the matching entry cubes
-#: ``cokernel ∪ kernel cube``.
-RowBlock = Tuple[Tuple[RowInfo, int, Tuple[Cube, ...], Tuple[Cube, ...]], ...]
+def dup_row_indices(rows: Iterable[Tuple[int, Iterable[int], Sequence[Cube]]]) -> Tuple[int, ...]:
+    """Indices of the rows whose cells repeat an original cube.
+
+    *rows* yields, per row, ``(|cokernel|, kernel-cube lengths, entry
+    cubes)`` with the last two in the same cell order.  An entry cube is
+    ``cokernel ∪ kernel cube``, so its length is at most |cokernel| +
+    |kc|, with equality exactly when the two are disjoint; a row whose
+    lengths add up to that bound has only disjoint cells, and distinct
+    columns then give distinct cubes.  Only rows with an overlapping
+    cell pay for cube hashing.
+    """
+    out: List[int] = []
+    for i, (base, klens, cubes) in enumerate(rows):
+        n = len(cubes)
+        if n > 1 and sum(map(len, cubes)) != base * n + sum(klens) and len(set(cubes)) < n:
+            out.append(i)
+    return tuple(out)
+
+
+def node_is_clean(cubes: Iterable[Cube]) -> bool:
+    """Whether no two of one node's cells (*cubes*, over all of its rows)
+    name the same original cube."""
+    seen: Set[Cube] = set()
+    add = seen.add
+    for cube in cubes:
+        if cube in seen:
+            return False
+        add(cube)
+    return True
+
+
+class RowBlock:
+    """One node version's KC rows, in kernel order.
+
+    ``rows`` holds each kernel's row, its cost ``|cokernel| + 1``, its
+    kernel cubes and the matching entry cubes ``cokernel ∪ kernel cube``;
+    ``expr`` is the node expression they were enumerated from.  The
+    expression digest, the dup-row indices and the clean flag are
+    computed on first request and kept for the life of the block, which
+    is the life of the node version: the greedy loop drops a node's
+    block when it modifies the node.
+    """
+
+    __slots__ = ("rows", "expr", "_digest", "_dup_rows", "_clean")
+
+    def __init__(
+        self,
+        rows: Tuple[Tuple[RowInfo, int, Tuple[Cube, ...], Tuple[Cube, ...]], ...],
+        expr: Sop,
+    ) -> None:
+        self.rows = rows
+        self.expr = expr
+        self._digest: Optional[bytes] = None
+        self._dup_rows: Optional[Tuple[int, ...]] = None
+        self._clean: Optional[bool] = None
+
+    def digest(self) -> bytes:
+        """sha256 of the expression: the rows are a function of it."""
+        got = self._digest
+        if got is None:
+            got = self._digest = hashlib.sha256(repr(self.expr).encode()).digest()
+        return got
+
+    def dup_rows(self) -> Tuple[int, ...]:
+        """Indices of rows whose cells repeat an original cube."""
+        got = self._dup_rows
+        if got is None:
+            got = self._dup_rows = dup_row_indices(
+                (cost - 1, map(len, kcubes), ecubes)
+                for _, cost, kcubes, ecubes in self.rows
+            )
+        return got
+
+    def clean(self) -> bool:
+        """Whether no two cells of the node name the same original cube."""
+        got = self._clean
+        if got is None:
+            got = self._clean = node_is_clean(
+                chain.from_iterable(row[3] for row in self.rows)
+            )
+        return got
 
 
 def row_block(node: str, f: Sop, meter=None) -> RowBlock:
     """Enumerate the kernels of *node* (expression *f*) as a row block."""
-    return tuple(
+    return RowBlock(tuple(
         (
             RowInfo(node, kern.cokernel),
             len(kern.cokernel) + 1,
@@ -357,7 +436,7 @@ def row_block(node: str, f: Sop, meter=None) -> RowBlock:
             tuple(cube_union(kern.cokernel, kc) for kc in kern.expression),
         )
         for kern in kernels(f, meter=meter)
-    )
+    ), f)
 
 
 def build_kc_matrix(
@@ -370,7 +449,7 @@ def build_kc_matrix(
     """Build the KC matrix for *nodes* of *network* (default: all nodes).
 
     *pid* selects the label space (processor id); sequential callers use
-    0.  *blocks* maps node name → :data:`RowBlock` and is filled in (and
+    0.  *blocks* maps node name → :class:`RowBlock` and is filled in (and
     trusted) when provided, so the greedy loop only re-enumerates the
     kernels of nodes it modified.
 
@@ -378,7 +457,9 @@ def build_kc_matrix(
     ``node_rows`` and compiles the bitset view directly: rows are
     labelled in node then kernel order, columns in first-encounter
     order, so dense positions are label order by construction.  The
-    sparse entry dict and adjacency are derived later, only if read.
+    view also gets the ordered ``(first row position, block)`` list, from
+    which it assembles its memo key and per-node tables.  The sparse
+    entry dict and adjacency are derived later, only if read.
     """
     from repro.rectangles.bitview import BitKCView
 
@@ -397,16 +478,18 @@ def build_kc_matrix(
     row_cols: List[int] = []
     cells: List[Dict[int, int]] = []
     entry_cubes: List[Cube] = []
+    placed: Optional[List[Tuple[int, RowBlock]]] = []
     for node in node_list:
         block = blocks.get(node)
         if block is None:
             block = blocks[node] = row_block(node, network.nodes[node], meter)
-        if not block:
+        if not block.rows:
             continue
         nid = node_ids.setdefault(node, len(node_ids))
         first = len(row_cost)
+        placed.append((first, block))
         eid0 = eid = len(entry_cubes)
-        for info, cost, kcubes, ecubes in block:
+        for info, cost, kcubes, ecubes in block.rows:
             rpos = len(row_cost)
             rows[base + rpos] = info
             row_node.append(nid)
@@ -443,7 +526,11 @@ def build_kc_matrix(
     # col_pos iterates in position order, so labels zip straight on.
     mat.col_of_cube = dict(zip(col_pos, col_labels))
     mat._entries = None
-    mat._bitview = BitKCView(dense=(
+    # A node listed twice shares one node id across two blocks, which
+    # the per-block tables cannot express: compile that view unkeyed.
+    if len(placed) != len(node_ids):
+        placed = None
+    mat._bitview = BitKCView(blocks=placed, dense=(
         row_labels, col_labels,
         dict(zip(row_labels, range(len(row_labels)))),
         dict(zip(col_labels, range(len(col_labels)))),

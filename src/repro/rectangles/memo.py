@@ -4,9 +4,11 @@ Repeated batch/serving workloads keep handing the searcher structurally
 identical KC submatrices — the same circuit family resubmitted, the same
 greedy-loop prefix re-run under a different algorithm, the replay of a
 cached job under new parameters.  :class:`RectMemo` keys completed
-``best_rectangle_exhaustive`` results by the matrix's canonical
-signature (:meth:`~repro.rectangles.bitview.BitKCView.signature`), so a
-repeat search is one hash lookup instead of a tree walk.
+``best_rectangle_exhaustive`` results by the matrix's signature
+(:meth:`~repro.rectangles.bitview.BitKCView.signature`: a hash of the
+per-node expression digests of the row blocks it was compiled from), so
+a repeat search is one hash lookup instead of a tree walk.  Matrices
+not compiled from row blocks have no signature and are never memoized.
 
 Exactness contract:
 
@@ -20,8 +22,8 @@ Exactness contract:
   meters — whose totals are all the simulated clocks ever read — end up
   charged identically, so memoized runs are budget/meter-exact;
 - results are stored in dense *position* space and mapped back through
-  the current view's sorted labels, so label-renamed resubmissions of
-  the same structure hit.
+  the current view's sorted labels, so the same network built in another
+  processor's label space hits.
 
 The in-memory table is a bounded LRU (hits/misses/evictions counted,
 mirroring the PR 1 service ``ResultCache``); an optional *backing* store
@@ -39,10 +41,11 @@ pruning counters the v2 search cores report
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 #: Environment toggle for the process-default memo ("0" disables).
 ENV_VAR = "REPRO_RECT_MEMO"
@@ -53,7 +56,7 @@ ENV_CAP = "REPRO_RECT_MEMO_CAP"
 DEFAULT_CAPACITY = 4096
 
 #: DiskCache schema namespace for persisted memo entries.
-MEMO_SCHEMA = "repro-rectmemo/1"
+MEMO_SCHEMA = "repro-rectmemo/2"
 
 #: The counter names exposed in ``repro profile`` output and /metrics.
 COUNTER_NAMES = (
@@ -201,6 +204,18 @@ def install_default_memo(memo: Optional[RectMemo]) -> Optional[RectMemo]:
         previous = _default_memo
         _default_memo = memo
         return previous
+
+
+@contextlib.contextmanager
+def scoped_default_memo(memo: RectMemo) -> Iterator[RectMemo]:
+    """Make *memo* the process default for the duration of the block,
+    then restore the previous one.  (``REPRO_RECT_MEMO=0`` still wins:
+    :func:`default_memo` returns None while the memo is disabled.)"""
+    previous = install_default_memo(memo)
+    try:
+        yield memo
+    finally:
+        install_default_memo(previous)
 
 
 def resolve_memo(memo) -> Optional[RectMemo]:

@@ -898,7 +898,9 @@ def best_rectangle_exhaustive(
 
     ``memo=`` is ``None`` (the process-default memo), ``False``
     (disabled) or an explicit :class:`~repro.rectangles.memo.RectMemo`.
-    Memoization applies only to unfiltered default-value searches; hits
+    Memoization applies only to unfiltered default-value searches on
+    matrices compiled from row blocks (those whose view has a
+    :meth:`~repro.rectangles.bitview.BitKCView.signature`); hits
     replay the recorded node count as one lump budget spend / meter
     charge, so budgets raise and simulated clocks advance exactly as if
     the search had run.
@@ -910,8 +912,10 @@ def best_rectangle_exhaustive(
         key = None
         if memo_obj is not None:
             view = matrix.bitview()
-            key = memo_key(view.signature(), min_cols)
-            hit = memo_obj.lookup(key)
+            sig = view.signature()
+            if sig is not None:
+                key = memo_key(sig, min_cols)
+            hit = memo_obj.lookup(key) if key is not None else None
             if hit is not None:
                 nodes = hit["nodes"]
                 if budget is not None:
@@ -947,7 +951,7 @@ def best_rectangle_exhaustive(
                 rect_search_pruned_subtrees=stats["pruned"],
                 rect_search_dominance_skips=stats["dominance_skips"],
             )
-            if memo_obj is not None:
+            if key is not None:
                 add_counters(rect_memo_misses=1)
         if key is not None:
             if best is None:

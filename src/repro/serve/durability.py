@@ -48,7 +48,7 @@ fsck
 ----
 :func:`fsck_scan` walks **every** schema directory under a cache root —
 the result cache (``repro-servecache/1``), the rectangle memo
-(``repro-rectmemo/1``), the portfolio selector (``repro-portfolio/1``),
+(``repro-rectmemo/2``), the portfolio selector (``repro-portfolio/1``),
 any future DiskCache tenant (they share one on-disk shape), and the job
 journal — reporting corrupt entries, schema/key mismatches, orphaned
 temp files, and torn journal records.  With ``repair=True`` it

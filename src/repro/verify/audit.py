@@ -19,7 +19,8 @@ lazily) or :func:`set_audits` from code.  When enabled:
 - splice-style bulk operations (``merge``, ``submatrix_columns``),
   every bitset-view compilation and every ``build_kc_matrix`` (which
   then derives the sparse form from the view it compiled) validate the
-  full structure, including sparse/bitview parity,
+  full structure, including sparse/bitview parity and the view's
+  dup-row and clean-row tables against a full scan,
 - every ``CubeStateStore`` operation validates the records it touched
   (claim/value/owner consistency — the no-double-cover invariant).
 
@@ -228,6 +229,12 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
     for j, lab in enumerate(view.col_labels):
         if view.col_cost[j] != len(mat.cols[lab]):
             _fail(f"bitview col_cost[{lab}] disagrees with kernel-cube size")
+    # A view compiled from row blocks assembles these from per-block
+    # tables; the full scan must agree.
+    if view.dup_rows() != view.scan_dup_rows():
+        _fail("bitview dup_rows disagrees with a full scan of the cells")
+    if view.clean_rows_mask() != view.scan_clean_rows_mask():
+        _fail("bitview clean_rows_mask disagrees with a full scan of the cells")
 
 
 # ----------------------------------------------------------------------

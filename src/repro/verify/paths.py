@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.network.boolean_network import BooleanNetwork
 from repro.rectangles.bitview import CORES, ENV_VAR, resolve_core
+from repro.rectangles.memo import RectMemo, scoped_default_memo
 
 
 @contextlib.contextmanager
@@ -65,8 +66,12 @@ class FactorPath:
         core: Optional[str] = None,
         faults=None,
     ) -> BooleanNetwork:
-        """Factor a copy of *network* under *core*; return the result."""
-        with rect_core(core) as resolved:
+        """Factor a copy of *network* under *core*; return the result.
+
+        Each run gets its own empty rectangle memo, so a run never
+        replays searches another path or core made on the same network.
+        """
+        with rect_core(core) as resolved, scoped_default_memo(RectMemo()):
             if faults is None:
                 return self._run(network, resolved)
             if not self.supports_faults:

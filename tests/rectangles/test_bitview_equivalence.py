@@ -232,6 +232,45 @@ class TestViewStructure:
         assert view2 is not view
         assert view2.num_rows == mat.num_rows
 
+    def test_block_tables_equal_full_scan(self):
+        # The paper example has both a clean node and nodes whose rows
+        # share a cube.
+        view = build_kc_matrix(paper_example_network()).bitview()
+        clean = view.clean_rows_mask()
+        assert clean == view.scan_clean_rows_mask()
+        assert 0 < clean < (1 << view.num_rows) - 1
+        assert view.dup_rows() == view.scan_dup_rows() == set()
+
+    def test_shared_neg_above_grows_safely_across_threads(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.rectangles import bitview
+
+        monkeypatch.setattr(bitview, "_NEG_ABOVE", [])
+        bad = []
+
+        def worker():
+            # Every thread grows the table step by step, so growth races.
+            for n in range(1, 3000):
+                if len(bitview.neg_above_table(n)) < n:
+                    bad.append(n)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        table = bitview._NEG_ABOVE
+        assert table == [-(1 << (p + 1)) for p in range(len(table))]
+
     def test_value_table_default_cached(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
         view = mat.bitview()

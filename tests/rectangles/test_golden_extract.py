@@ -5,7 +5,11 @@ sequence of :func:`~repro.rectangles.cover.kernel_extract` (new node,
 kernel, rectangle labels, modified nodes, measured delta), the final
 literal count and the metered operation counts.  Any change to how the
 KC matrix is built, labelled or searched that alters a tie-break, a
-label or a meter charge shows up here as a byte difference.
+label or a meter charge shows up here as a byte difference.  Every case
+runs on its own empty rectangle memo, so the set core's exhaustive
+searches really run instead of replaying the bit core's; a replay test
+reruns each exhaustive case on its first run's memo and requires the
+all-hit second run to match the fixture too.
 
 Regenerate (only when a behaviour change is intended, and say why in
 the change log) with::
@@ -25,6 +29,7 @@ from repro.circuits import make_circuit
 from repro.machine.costmodel import CostMeter
 from repro.rectangles.bitview import BitKCView
 from repro.rectangles.cover import kernel_extract
+from repro.rectangles.memo import RectMemo, scoped_default_memo
 from repro.verify.corpus import load_corpus
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -66,11 +71,16 @@ def _make(case_id):
     raise KeyError(case_id)
 
 
-def record(case_id) -> dict:
-    """Run one case metered and return its JSON-ready trace."""
+def record(case_id, memo=None) -> dict:
+    """Run one case metered and return its JSON-ready trace.
+
+    The run gets *memo* as its rectangle memo, by default a fresh empty
+    one, so a case never replays searches another case or core made.
+    """
     net, searcher, core = _make(case_id)
     meter = CostMeter()
-    res = kernel_extract(net, searcher=searcher, meter=meter, core=core)
+    with scoped_default_memo(memo if memo is not None else RectMemo()):
+        res = kernel_extract(net, searcher=searcher, meter=meter, core=core)
     steps = [
         [s.new_node, [list(c) for c in s.kernel], list(s.rectangle.rows),
          list(s.rectangle.cols), list(s.modified_nodes), s.actual_delta]
@@ -98,6 +108,23 @@ def test_matches_golden(case_id):
     expect = _load_fixture()[case_id]
     got = record(case_id)
     assert _dump(got) == _dump(expect)
+
+
+@pytest.mark.parametrize("case_id", [c for c in case_ids() if "/exhaustive/" in c])
+def test_memo_replay_matches_golden(case_id, monkeypatch):
+    """Run twice on one memo: the second run is all hits, and both runs
+    match the fixture byte for byte (steps and meter counts)."""
+    monkeypatch.setenv("REPRO_RECT_MEMO", "1")
+    memo = RectMemo()
+    first = record(case_id, memo)
+    cold = memo.stats()
+    second = record(case_id, memo)
+    warm = memo.stats()
+    assert warm["misses"] == cold["misses"]
+    assert warm["hits"] - cold["hits"] == cold["hits"] + cold["misses"] > 0
+    expect = _dump(_load_fixture()[case_id])
+    assert _dump(first) == expect
+    assert _dump(second) == expect
 
 
 def _view_fields(view):

@@ -17,7 +17,8 @@ import pytest
 from repro.algebra.cube import cube
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
-from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
+from repro.rectangles.cover import apply_rectangle
+from repro.rectangles.kcmatrix import LABEL_OFFSET, KCMatrix, build_kc_matrix
 from repro.rectangles.memo import (
     GLOBAL_SEARCH_STATS,
     RectMemo,
@@ -151,84 +152,97 @@ class TestBudgetParity:
             assert spent[True] <= spent[False]
 
 
+def misex3_matrix(scale: float = 0.1, pid: int = 0) -> KCMatrix:
+    """A fresh build of a small stand-in circuit: compiled from row
+    blocks, so its view carries a memo key."""
+    return build_kc_matrix(make_circuit("misex3", scale=scale), pid=pid)
+
+
 class TestMemo:
     def test_hit_returns_identical_result(self):
-        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         memo = RectMemo()
-        first = best_rectangle_exhaustive(mat, memo=memo)
-        mat._touch()  # drop the cached view: force a re-lookup
-        second = best_rectangle_exhaustive(mat, memo=memo)
+        first = best_rectangle_exhaustive(misex3_matrix(), memo=memo)
+        # A fresh build of the same circuit hits.
+        second = best_rectangle_exhaustive(misex3_matrix(), memo=memo)
         assert first == second
         stats = memo.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert len(memo) == 1
 
     def test_hit_across_label_renaming(self):
-        # Entries are stored in dense position space: a structurally
-        # identical matrix with different row labels must hit and decode
-        # to its *own* labels.
-        def build(offset):
-            base = random_kc_matrix(5)
-            mat = KCMatrix()
-            for c in sorted(base.cols):
-                mat.ensure_col(base.cols[c], lambda c=c: c)
-            for r in sorted(base.rows):
-                info = base.rows[r]
-                mat.add_row(r + offset, info.node, info.cokernel)
-                for c in sorted(base.by_row[r]):
-                    mat.add_entry(r + offset, c)
-            return mat
-
+        # Entries are stored in dense position space: the same network
+        # built in processor 9's label space must hit and decode to its
+        # *own* labels.
         memo = RectMemo()
-        res0 = best_rectangle_exhaustive(build(0), memo=memo)
-        res9 = best_rectangle_exhaustive(build(900), memo=memo)
+        res0 = best_rectangle_exhaustive(misex3_matrix(pid=0), memo=memo)
+        res9 = best_rectangle_exhaustive(misex3_matrix(pid=9), memo=memo)
         assert memo.stats()["hits"] == 1
         assert res0 is not None and res9 is not None
         rect0, gain0 = res0
         rect9, gain9 = res9
+        shift = 9 * LABEL_OFFSET
         assert gain9 == gain0
-        assert rect9.cols == rect0.cols
-        assert list(rect9.rows) == [r + 900 for r in rect0.rows]
+        assert list(rect9.cols) == [c + shift for c in rect0.cols]
+        assert list(rect9.rows) == [r + shift for r in rect0.rows]
 
     def test_version_bump_invalidates(self):
-        mat = random_kc_matrix(3)
+        # Extracting a rectangle modifies nodes; the rebuilt matrix (new
+        # blocks for exactly those nodes) must miss.
+        net = make_circuit("misex3", scale=0.1)
+        blocks = {}
+        mat = build_kc_matrix(net, blocks=blocks)
         memo = RectMemo()
-        best_rectangle_exhaustive(mat, memo=memo)
-        victim = max(mat.rows)
-        mat.remove_row(victim)  # bumps the matrix version
+        rect, gain = best_rectangle_exhaustive(mat, memo=memo)
+        applied = apply_rectangle(net, mat, rect, new_name="[k0]", gain=gain)
+        for n in applied.modified_nodes:
+            blocks.pop(n)
+        mat = build_kc_matrix(net, blocks=blocks)
         res = best_rectangle_exhaustive(mat, memo=memo)
         stats = memo.stats()
         assert stats["misses"] == 2 and stats["hits"] == 0
         assert res == best_rectangle_exhaustive(mat, prune=False)
 
     def test_hit_is_budget_and_meter_exact(self):
-        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         live_meter = CostMeter()
         live = best_rectangle_exhaustive(
-            mat, memo=False, prune=True, meter=live_meter
+            misex3_matrix(), memo=False, prune=True, meter=live_meter
         )
         nodes = int(live_meter.counts["search_node"])
 
         memo = RectMemo()
-        best_rectangle_exhaustive(mat, memo=memo)
+        best_rectangle_exhaustive(misex3_matrix(), memo=memo)
         # Exact-cap budget: the lump replay completes with used == nodes.
-        mat._touch()
         budget = SearchBudget(nodes)
         hit_meter = CostMeter()
         hit = best_rectangle_exhaustive(
-            mat, memo=memo, budget=budget, meter=hit_meter
+            misex3_matrix(), memo=memo, budget=budget, meter=hit_meter
         )
         assert hit == live
+        assert memo.stats()["hits"] == 1
         assert budget.used == nodes
         assert hit_meter.counts["search_node"] == live_meter.counts[
             "search_node"
         ]
         # One node short: the hit raises exactly like a live run would.
-        mat._touch()
         with pytest.raises(BudgetExceeded):
             best_rectangle_exhaustive(
-                mat, memo=memo, budget=SearchBudget(nodes - 1)
+                misex3_matrix(), memo=memo, budget=SearchBudget(nodes - 1)
             )
+        assert memo.stats()["hits"] == 2
+
+    def test_unkeyed_matrices_skip_memo(self):
+        # A matrix mutated after build, and a hand-built one, have no
+        # memo key: no lookup is counted and the answer is memo=False's.
+        mutated = misex3_matrix()
+        mutated.remove_row(max(mutated.rows))
+        for mat in (mutated, random_kc_matrix(3)):
+            assert mat.bitview().signature() is None
+            memo = RectMemo()
+            got = best_rectangle_exhaustive(mat, memo=memo)
+            stats = memo.stats()
+            assert stats["hits"] == 0 and stats["misses"] == 0
+            assert len(memo) == 0
+            assert got == best_rectangle_exhaustive(mat, memo=False)
 
     def test_incomplete_search_not_stored(self):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
@@ -238,7 +252,7 @@ class TestMemo:
         assert len(memo) == 0
 
     def test_diskcache_backing_persists_across_memos(self, tmp_path):
-        mat = random_kc_matrix(7)
+        mat = misex3_matrix()
         memo1 = RectMemo(backing=DiskCache(str(tmp_path)))
         first = best_rectangle_exhaustive(mat, memo=memo1)
         # A fresh memo (fresh process, same cache dir) hits via backing.
@@ -249,7 +263,7 @@ class TestMemo:
 
     def test_lru_eviction_counted(self):
         memo = RectMemo(capacity=1)
-        mats = [random_kc_matrix(s) for s in (11, 12)]
+        mats = [misex3_matrix(scale) for scale in (0.1, 0.05)]
         for mat in mats:
             best_rectangle_exhaustive(mat, memo=memo)
         assert memo.stats()["evictions"] == 1
@@ -302,13 +316,11 @@ class TestDefaultsAndCounters:
     def test_traced_memo_hit_attaches_counters(self):
         from repro import obs
 
-        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         memo = RectMemo()
-        best_rectangle_exhaustive(mat, memo=memo)
-        mat._touch()
+        best_rectangle_exhaustive(misex3_matrix(), memo=memo)
         tracer = obs.Tracer(name="memo-hit")
         with obs.use_tracer(tracer), obs.span("memo-hit"):
-            best_rectangle_exhaustive(mat, memo=memo)
+            best_rectangle_exhaustive(misex3_matrix(), memo=memo)
         totals = tracer.counter_totals()
         assert totals.get("rect_memo_hits") == 1
         # The hit replays the recorded node spend into the span too, so

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.circuits import make_circuit
 from repro.parallel.cubestate import CubeStateStore, CubeStatus
-from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator
+from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator, build_kc_matrix
 from repro.verify import InvariantViolation, audit, set_audits
 
 
@@ -104,6 +105,19 @@ class TestKCMatrixAudits:
         view.row_cols[0] = 0
         with pytest.raises(InvariantViolation, match="mask"):
             audit.audit_bitview(mat, view)
+
+    @pytest.mark.parametrize("table", ["clean", "dup_rows"])
+    def test_tampered_block_table_caught(self, audits_on, table):
+        net = make_circuit("misex3", scale=0.1)
+        blocks = {}
+        build_kc_matrix(net, blocks=blocks)  # the audit fills every table
+        block = next(b for b in blocks.values() if b.rows)
+        if table == "clean":
+            block._clean = not block.clean()
+        else:
+            block._dup_rows = () if block.dup_rows() else (0,)
+        with pytest.raises(InvariantViolation, match="full scan"):
+            build_kc_matrix(net, blocks=blocks)
 
     def test_mutation_audit_fires_at_the_faulty_operation(self, audits_on):
         mat = _small_matrix()

@@ -24,6 +24,19 @@ class TestCheckPath:
         assert outcome is None
         assert final is not None and final <= 8
 
+    def test_each_run_has_its_own_memo(self, monkeypatch):
+        from repro.rectangles import memo as rect_memo
+
+        monkeypatch.setenv(rect_memo.ENV_VAR, "1")
+        shared = rect_memo.RectMemo()
+        path = get_path("seq-exhaustive")
+        with rect_memo.scoped_default_memo(shared):
+            for core in all_cores():
+                path.run(_tiny_network(), core)
+            assert rect_memo.default_memo() is shared
+        # Neither core's searches went through the surrounding memo.
+        assert shared.stats()["hits"] == shared.stats()["misses"] == 0
+
     def test_exception_is_a_finding(self):
         def boom(network, core):
             raise RuntimeError("kaput")
