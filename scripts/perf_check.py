@@ -28,13 +28,6 @@ gate.
 regenerates the serving sweep; ``--serving-only`` skips the
 rectangle-search suite while doing so.
 
-``--portfolio`` re-runs the strategy-portfolio race sweep and rewrites
-``BENCH_portfolio.json`` (``--portfolio-only`` skips the
-rectangle-search suite); under ``--check`` the portfolio report is
-gated on winner determinism, closed lane accounting, loser cancellation
-and quality-class optimality — see
-:func:`repro.portfolio.bench.validate_portfolio_report`.
-
 With ``REPRO_TRACE=1`` in the environment the timed runs are traced and
 every workload row in the JSON carries its phase breakdown and hot-loop
 counters alongside the speedup.
@@ -104,25 +97,10 @@ def main(argv=None) -> int:
         "--serving-duration", type=float, default=None,
         help="seconds per offered rate (default: 5, or 2 with --quick)",
     )
-    parser.add_argument(
-        "--portfolio", action="store_true",
-        help="also run the strategy-portfolio race sweep and rewrite "
-             "BENCH_portfolio.json",
-    )
-    parser.add_argument(
-        "--portfolio-only", action="store_true",
-        help="run only the portfolio sweep (implies --portfolio)",
-    )
-    parser.add_argument(
-        "--portfolio-out", type=pathlib.Path,
-        default=REPO_ROOT / "benchmarks" / "results" / "BENCH_portfolio.json",
-        help="portfolio sweep JSON path "
-             "(default benchmarks/results/BENCH_portfolio.json)",
-    )
     args = parser.parse_args(argv)
 
     report = None
-    if not (args.serving_only or args.portfolio_only):
+    if not args.serving_only:
         report = run_perf_check(quick=args.quick)
         print(render_report(report))
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -161,27 +139,6 @@ def main(argv=None) -> int:
         )
         print(f"wrote {args.serving_out}")
 
-    if args.portfolio or args.portfolio_only:
-        import json
-
-        from repro.portfolio.bench import run_portfolio_bench
-
-        portfolio = run_portfolio_bench(quick=args.quick)
-        args.portfolio_out.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.portfolio_out, "w") as fh:
-            json.dump(portfolio, fh, indent=2)
-            fh.write("\n")
-        for row in portfolio["rows"]:
-            first = row["runs"][0]
-            print(
-                f"portfolio {row['circuit']}@{row['scale']:g} "
-                f"{row['klass']:>7}: winner {row['winners'][0]} "
-                f"LC {first['initial_lc']} -> {first['final_lc']}, "
-                f"{first['cancelled']} lane(s) cancelled, "
-                f"{row['repeats']} repeat(s)"
-            )
-        print(f"wrote {args.portfolio_out}")
-
     if args.check:
         import json
 
@@ -210,30 +167,6 @@ def main(argv=None) -> int:
               f"({len(serving_report['rows'])} rate(s), zero failures, "
               "coalescing verified)")
 
-        from repro.portfolio.bench import validate_portfolio_report
-
-        if not args.portfolio_out.exists():
-            print(
-                f"FAIL: {args.portfolio_out} is missing — run "
-                f"'scripts/perf_check.py --portfolio' to generate it",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            with open(args.portfolio_out) as fh:
-                portfolio_report = json.load(fh)
-        except ValueError as exc:
-            print(f"FAIL: {args.portfolio_out} is not valid JSON: {exc}",
-                  file=sys.stderr)
-            return 1
-        problems = validate_portfolio_report(portfolio_report)
-        if problems:
-            for problem in problems:
-                print(f"FAIL: portfolio gate: {problem}", file=sys.stderr)
-            return 1
-        print("portfolio gate: BENCH_portfolio.json OK "
-              f"({len(portfolio_report['rows'])} workload row(s), "
-              "deterministic winners, lane accounting closed)")
         if report is None:
             return 0
         if not report["all_results_match"]:

@@ -7,6 +7,8 @@ dir), then asserts, end to end over HTTP:
 - /readyz goes green and /healthz reports every worker ok;
 - a short open-loop loadgen burst completes with ZERO failed requests;
 - K identical concurrent requests coalesce onto exactly one computation;
+- a ``class: quality`` request and its explicit spelling (``searcher:
+  exhaustive``) get the same answer, the second from cache or coalesced;
 - a worker killed with SIGKILL is respawned and the in-flight request
   still completes;
 - every completed request has a fetchable merged trace whose spans
@@ -83,6 +85,22 @@ async def smoke(cache_dir: str) -> None:
               f"coalesced={counters.get('requests_coalesced', 0)}")
         check("one answer for all waiters",
               len({d["result"]["final_lc"] for _, d in results}) == 1)
+
+        print("class routing:")
+        eqn = _probe_circuit_eqn(23)
+        status, by_class = await http_json(
+            "POST", gw.url + "/v1/factor", {"eqn": eqn, "class": "quality"})
+        status2, explicit = await http_json(
+            "POST", gw.url + "/v1/factor",
+            {"eqn": eqn, "searcher": "exhaustive"})
+        check("class and explicit spelling agree",
+              status == status2 == 200
+              and by_class["result"]["final_lc"]
+              == explicit["result"]["final_lc"])
+        check("explicit spelling shares the class answer",
+              explicit.get("cache") in ("gateway", "disk", "memory",
+                                        "coalesced"),
+              f"cache={explicit.get('cache')}")
 
         print("distributed trace:")
         leader = next(d for _, d in results if not d.get("coalesced"))

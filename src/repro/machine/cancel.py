@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = [
     "CancelToken",
     "JobCancelled",
     "cancel_scope",
     "check_cancelled",
-    "current_token",
 ]
 
 
@@ -51,11 +50,6 @@ class CancelToken:
 
 
 _local = threading.local()
-
-
-def current_token() -> Optional[CancelToken]:
-    """The token installed in this thread, if any."""
-    return getattr(_local, "token", None)
 
 
 @contextmanager

@@ -177,13 +177,11 @@ class ProfileResult:
         )
 
     def counter_rows(self) -> List[tuple]:
-        """Counter totals, with the v2 search/memo and portfolio
-        counters always present (zero-filled) so profiles are
-        comparable across runs."""
-        from repro.portfolio.runner import COUNTER_NAMES as PORTFOLIO_COUNTERS
+        """Counter totals, with the v2 search/memo counters always
+        present (zero-filled) so profiles are comparable across runs."""
         from repro.rectangles.memo import COUNTER_NAMES
 
-        totals = dict.fromkeys(COUNTER_NAMES + PORTFOLIO_COUNTERS, 0.0)
+        totals = dict.fromkeys(COUNTER_NAMES, 0.0)
         totals.update(self.tracer.counter_totals())
         return sorted(totals.items())
 

@@ -174,15 +174,6 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
         _counter(w, name, value,
                  help_text="Rectangle-search v2 effectiveness counter.")
 
-    portfolio = doc.get("portfolio") or {}
-    for name, value in portfolio.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            _counter(w, name, value,
-                     help_text="Strategy-portfolio race counter.")
-    for lane, wins in (portfolio.get("portfolio_lane_wins") or {}).items():
-        _counter(w, "portfolio_lane_wins", wins, {"lane": lane},
-                 help_text="Race wins per portfolio lane.")
-
     slo = doc.get("slo") or {}
     for path, windows in (slo.get("paths") or {}).items():
         tenant, _, algorithm = path.partition("/")

@@ -48,14 +48,13 @@ fsck
 ----
 :func:`fsck_scan` walks **every** schema directory under a cache root —
 the result cache (``repro-servecache/1``), the rectangle memo
-(``repro-rectmemo/2``), the portfolio selector (``repro-portfolio/1``),
-any future DiskCache tenant (they share one on-disk shape), and the job
-journal — reporting corrupt entries, schema/key mismatches, orphaned
-temp files, and torn journal records.  With ``repair=True`` it
-quarantines corrupt entries under ``<schema-dir>/quarantine/``, deletes
-orphaned temp files, and rewrites damaged journal segments keeping the
-parseable prefix of records.  ``repro fsck CACHE_DIR [--repair]`` is
-the CLI face.
+(``repro-rectmemo/2``), any future DiskCache tenant (they share one
+on-disk shape), and the job journal — reporting corrupt entries,
+schema/key mismatches, orphaned temp files, and torn journal records.
+With ``repair=True`` it quarantines corrupt entries under
+``<schema-dir>/quarantine/``, deletes orphaned temp files, and rewrites
+damaged journal segments keeping the parseable prefix of records.
+``repro fsck CACHE_DIR [--repair]`` is the CLI face.
 """
 
 from __future__ import annotations
@@ -469,11 +468,10 @@ def fsck_scan(root: os.PathLike, repair: bool = False) -> Dict[str, Any]:
 
     Discovers schema directories structurally — a child directory with a
     ``VERSION`` file — so every DiskCache tenant (result cache, rect
-    memo, portfolio selector, future schemas) is covered without a
-    hard-coded list; the job journal's line-record format is handled
-    specially.  Returns a report document; ``ok`` is True when the scan
-    found no issues (pre-repair state — rerun after a repair to
-    confirm a clean tree).
+    memo, future schemas) is covered without a hard-coded list; the job
+    journal's line-record format is handled specially.  Returns a report
+    document; ``ok`` is True when the scan found no issues (pre-repair
+    state — rerun after a repair to confirm a clean tree).
     """
     root = Path(root)
     report: Dict[str, Any] = {

@@ -1038,25 +1038,6 @@ class Gateway:
                 if name in rect:
                     rect[name] += int(value)
         doc["rect_search"] = rect
-        # Portfolio race counters, summed the same way; per-lane win
-        # counts merge as a nested document keyed by lane name.
-        portfolio: Dict[str, Any] = {
-            "portfolio_races": 0,
-            "portfolio_cancelled_lanes": 0,
-            "selector_hits": 0,
-            "portfolio_lane_wins": {},
-        }
-        for handle in self._handles:
-            engine = (handle.last_health or {}).get("engine") or {}
-            snap = engine.get("portfolio") or {}
-            for name in ("portfolio_races", "portfolio_cancelled_lanes",
-                         "selector_hits"):
-                portfolio[name] += int(snap.get(name, 0))
-            for lane, wins in (snap.get("portfolio_lane_wins") or {}).items():
-                portfolio["portfolio_lane_wins"][lane] = (
-                    portfolio["portfolio_lane_wins"].get(lane, 0) + int(wins)
-                )
-        doc["portfolio"] = portfolio
         # One cluster-wide registry view: the gateway's own snapshot
         # merged with every worker's (shipped in health replies since
         # repro.obs/2 — histograms carry samples, so pooled percentiles

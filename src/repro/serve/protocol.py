@@ -48,11 +48,21 @@ __all__ = [
     "job_cache_key",
     "result_document",
     "estimate_kc_footprint",
+    "CLASSES",
     "SEARCHERS",
 ]
 
 #: Rectangle searchers a request may name (mirrors the CLI choices).
 SEARCHERS = ("pingpong", "exhaustive")
+
+#: What a request's SLO ``class`` selects, as (algorithm, searcher):
+#: latency takes the fast ping-pong heuristic, quality the exhaustive
+#: search.  Deadlines and budgets still degrade exhaustive to ping-pong
+#: in the engine.
+CLASSES = {
+    "latency": ("sequential", "pingpong"),
+    "quality": ("sequential", "exhaustive"),
+}
 
 #: Hard ceiling on inline ``eqn`` payloads (bytes of text) — admission
 #: control for request *size*, independent of queue depth.
@@ -94,27 +104,28 @@ def parse_job_request(doc: Any) -> Dict[str, Any]:
                 f"'eqn' exceeds the {MAX_EQN_BYTES // (1024 * 1024)} MiB limit"
             )
     algorithm = doc.get("algorithm", "sequential")
+    searcher = doc.get("searcher", "pingpong")
     klass = doc.get("class")
     if klass is not None:
-        # 'class' is SLO sugar for the portfolio algorithms: latency
-        # races for the first finisher, quality for the best literal
-        # count.  It may restate — but not contradict — 'algorithm'.
-        if klass not in ("latency", "quality"):
+        if klass not in CLASSES:
             raise BadRequest(
-                f"unknown class {klass!r}; expected latency or quality"
+                f"unknown class {klass!r}; expected "
+                f"{' or '.join(CLASSES)}"
             )
-        if "algorithm" in doc and algorithm != f"portfolio:{klass}":
-            raise BadRequest(
-                f"'class': {klass!r} conflicts with explicit "
-                f"algorithm {algorithm!r}"
-            )
-        algorithm = f"portfolio:{klass}"
+        # 'class' may restate, but not contradict, what it selects.
+        for field, value in zip(("algorithm", "searcher"), CLASSES[klass]):
+            if field in doc and doc[field] != value:
+                raise BadRequest(
+                    f"'class': {klass!r} conflicts with explicit "
+                    f"{field} {doc[field]!r}"
+                )
+        algorithm, searcher = CLASSES[klass]
     if algorithm not in ALGORITHMS:
         raise BadRequest(
             f"unknown algorithm {algorithm!r}; expected one of "
-            f"{', '.join(ALGORITHMS)}"
+            f"{', '.join(ALGORITHMS)}, or a 'class' "
+            f"({' or '.join(CLASSES)})"
         )
-    searcher = doc.get("searcher", "pingpong")
     if searcher not in SEARCHERS:
         raise BadRequest(
             f"unknown searcher {searcher!r}; expected one of "

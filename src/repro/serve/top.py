@@ -4,8 +4,7 @@ Polls the gateway's JSON metrics document on an interval and renders a
 one-screen operational summary: request/answer *rates* (derived from
 counter deltas between polls, not lifetime totals), latency percentiles,
 the answer-tier mix (gateway / coalesced / disk / memory / computed),
-per-worker liveness, portfolio lane wins, and any SLO paths with warm
-burn rates.
+per-worker liveness, and any SLO paths with warm burn rates.
 
 The renderer is a pure function (``doc + previous doc + dt -> str``) so
 tests can drive it with canned documents; only :func:`run_top` touches
@@ -99,15 +98,6 @@ def render_top(
                 extra = f" crashes={snap['crashes']}"
             cells.append(f"w{wid}:{mark} gen{snap.get('generation', '?')}{extra}")
         lines.append("workers  " + "  ".join(cells))
-
-    lane_wins = ((doc.get("portfolio") or {}).get("portfolio_lane_wins")
-                 or {})
-    if lane_wins:
-        wins = "  ".join(
-            f"{lane}={count}" for lane, count in
-            sorted(lane_wins.items(), key=lambda kv: -kv[1])
-        )
-        lines.append(f"lanes    {wins}")
 
     slo_paths = ((doc.get("slo") or {}).get("paths") or {})
     for path, windows in sorted(slo_paths.items()):

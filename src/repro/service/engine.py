@@ -261,9 +261,6 @@ class FactorizationEngine:
         # Hot-path effectiveness: the process-wide v2 search pruning and
         # canonical-memo counters (PR 7), aggregated into /metrics.
         doc["rect_search"] = rect_search_snapshot()
-        from repro.portfolio.runner import portfolio_snapshot
-
-        doc["portfolio"] = portfolio_snapshot()
         return doc
 
     def ready(self) -> bool:
@@ -467,48 +464,20 @@ class FactorizationEngine:
                 return copy.copy(cached), True
         deadline = job.deadline if job.deadline is not None else self.default_deadline
 
-        if job.algorithm.startswith("portfolio:"):
-            # The racer owns deadline semantics: a quality-class race
-            # returns the best lane finished so far when the deadline
-            # fires instead of failing the attempt, and cancellation
-            # flows through the lanes' own tokens.
-            payload = self._dispatch(job, network, deadline=deadline)
-        else:
-            def compute():
-                return self._dispatch(job, network)
+        def compute():
+            return self._dispatch(job, network)
 
-            payload = (
-                _call_with_deadline(compute, deadline, metrics=self.metrics)
-                if deadline is not None
-                else compute()
-            )
+        payload = (
+            _call_with_deadline(compute, deadline, metrics=self.metrics)
+            if deadline is not None
+            else compute()
+        )
         if key is not None:
             self.cache.put(key, payload)
         return payload, False
 
-    def _dispatch(self, job: FactorizationJob, network: BooleanNetwork,
-                  deadline: Optional[float] = None):
+    def _dispatch(self, job: FactorizationJob, network: BooleanNetwork):
         params = dict(job.params)
-        if job.algorithm.startswith("portfolio:"):
-            from repro.portfolio import DEFAULT_NODE_BUDGET, run_portfolio
-
-            klass = job.algorithm.split(":", 1)[1]
-            procs = params.pop("procs_list", None)
-            if procs is None:
-                procs = _portfolio_procs(job.procs)
-            return run_portfolio(
-                network,
-                klass=klass,
-                procs=tuple(procs),
-                node_budget=(
-                    job.node_budget if job.node_budget is not None
-                    else DEFAULT_NODE_BUDGET
-                ),
-                deadline=deadline,
-                metrics=self.metrics,
-                max_seeds=params.pop("max_seeds", 64),
-                **params,
-            )
         if job.algorithm == "sequential":
             work = network.copy()
             budget = (
@@ -543,20 +512,6 @@ class FactorizationEngine:
 
             return lshaped_kernel_extract(network, job.procs, **params)
         raise ValueError(f"unknown algorithm {job.algorithm!r}")
-
-
-def _portfolio_procs(procs: Optional[int]) -> tuple:
-    """Processor counts the portfolio's machine lanes race at.
-
-    A portfolio job's single ``procs`` knob expands to a small ladder:
-    the default (or ``procs <= 1``) races 2 and 4, an explicit count
-    races 2 plus that count.
-    """
-    if procs is None or procs <= 1 or procs == 4:
-        return (2, 4)
-    if procs == 2:
-        return (2,)
-    return (2, procs)
 
 
 def _call_with_deadline(

@@ -32,14 +32,8 @@ __all__ = ["JobStatus", "FactorizationJob", "JobResult", "JobQueue"]
 
 #: Algorithms a job may request.  "baseline" is the metered sequential
 #: SIS run the speedup tables divide by — caching it is a large win
-#: because every table recomputes it per circuit.  The two portfolio
-#: entries race every strategy at once (see :mod:`repro.portfolio`):
-#: latency-class takes the first finisher, quality-class the best final
-#: literal count.
-ALGORITHMS = (
-    "sequential", "baseline", "replicated", "independent", "lshaped",
-    "portfolio:latency", "portfolio:quality",
-)
+#: because every table recomputes it per circuit.
+ALGORITHMS = ("sequential", "baseline", "replicated", "independent", "lshaped")
 
 
 class JobStatus(enum.Enum):

@@ -350,6 +350,48 @@ def test_replay_coalesces_with_fresh_identical_request(tmp_path):
     asyncio.run(main())
 
 
+def test_unreplayable_body_is_retired_not_fatal(tmp_path):
+    # A body a newer gateway no longer accepts (here an algorithm that
+    # was removed) must not block boot or replay forever: the replay
+    # fails once, a failed done record retires the job, and the next
+    # restart replays nothing.
+    journal = JobJournal(tmp_path)
+    _accept(journal, 5, body={"circuit": "example",
+                              "algorithm": "portfolio:latency"})
+    journal.close()
+
+    def done_records():
+        return [
+            rec
+            for seg in sorted((tmp_path / "journal").glob("seg-*.jsonl"))
+            for rec in map(json.loads, seg.read_text().splitlines())
+            if rec["type"] == "done" and rec["job_id"] == "j000005"
+        ]
+
+    async def main():
+        gw = await _started(cache_dir=str(tmp_path))
+        try:
+            counters = gw.metrics.snapshot()["counters"]
+            assert counters["journal_replay_failed"] == 1
+            assert counters.get("journal_replayed", 0) == 0
+        finally:
+            await gw.stop()
+        [done] = done_records()
+        assert done["status"] == "failed"
+        assert "replay failed" in done["error"]
+
+        gw = await _started(cache_dir=str(tmp_path))
+        try:
+            counters = gw.metrics.snapshot()["counters"]
+            for name in ("journal_replayed", "journal_replay_failed",
+                         "journal_restored"):
+                assert counters.get(name, 0) == 0, name
+        finally:
+            await gw.stop()
+
+    asyncio.run(main())
+
+
 def test_journal_disabled_serves_without_wal(tmp_path):
     async def main():
         gw = await _started(cache_dir=str(tmp_path), journal=False)

@@ -75,20 +75,26 @@ def test_job_cache_key_ignores_serving_only_fields():
 
 
 class TestClassField:
-    """'class' is SLO sugar for the portfolio algorithms."""
+    """'class' routes by a static rule: latency -> sequential ping-pong,
+    quality -> sequential exhaustive."""
 
-    @pytest.mark.parametrize("klass", ["latency", "quality"])
-    def test_class_selects_portfolio_algorithm(self, klass):
+    @pytest.mark.parametrize("klass,searcher", [
+        ("latency", "pingpong"), ("quality", "exhaustive"),
+    ])
+    def test_class_selects_sequential_and_searcher(self, klass, searcher):
         spec = parse_job_request({"circuit": "example", "class": klass})
-        assert spec["algorithm"] == f"portfolio:{klass}"
+        assert spec["algorithm"] == "sequential"
+        assert spec["searcher"] == searcher
 
     def test_consistent_restatement_is_allowed(self):
         spec = parse_job_request({
             "circuit": "example",
-            "class": "latency",
-            "algorithm": "portfolio:latency",
+            "class": "quality",
+            "algorithm": "sequential",
+            "searcher": "exhaustive",
         })
-        assert spec["algorithm"] == "portfolio:latency"
+        assert (spec["algorithm"], spec["searcher"]) == (
+            "sequential", "exhaustive")
 
     def test_unknown_class_rejected(self):
         with pytest.raises(BadRequest, match="unknown class 'cheapest'"):
@@ -102,8 +108,29 @@ class TestClassField:
                 "algorithm": "lshaped",
             })
 
-    def test_explicit_portfolio_algorithm_without_class(self):
-        spec = parse_job_request({
-            "circuit": "example", "algorithm": "portfolio:quality",
-        })
-        assert spec["algorithm"] == "portfolio:quality"
+    def test_conflicting_searcher_rejected(self):
+        with pytest.raises(BadRequest, match="conflicts with explicit"):
+            parse_job_request({
+                "circuit": "example",
+                "class": "quality",
+                "searcher": "pingpong",
+            })
+
+    @pytest.mark.parametrize("klass", ["latency", "quality"])
+    def test_explicit_portfolio_algorithm_rejected(self, klass):
+        with pytest.raises(BadRequest, match="'class'"):
+            parse_job_request({
+                "circuit": "example", "algorithm": f"portfolio:{klass}",
+            })
+
+    def test_class_shares_cache_key_with_explicit_spelling(self):
+        # Equal keys: the two spellings coalesce in the gateway and
+        # share every cache tier's entries.
+        network = load_circuit("example")
+        by_class = parse_job_request({"circuit": "example",
+                                      "class": "quality"})
+        explicit = parse_job_request({"circuit": "example",
+                                      "algorithm": "sequential",
+                                      "searcher": "exhaustive"})
+        assert job_cache_key(by_class, network) == job_cache_key(
+            explicit, network)

@@ -256,46 +256,3 @@ class TestFuzzCommand:
             ["fuzz", "--repro-dir", str(tmp_path)]
         )
         assert args.repro_dir == str(tmp_path) and not args.shrink
-
-
-class TestPortfolioCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["portfolio", "example"])
-        assert args.klass == "latency"
-        assert args.procs == "2,4"
-        assert args.scale == 1.0
-        assert args.budget == 5_000_000
-        assert not args.no_memo and args.memo_dir is None
-
-    def test_json_race_reports_equivalent(self, capsys):
-        import json
-
-        code = main(["portfolio", "example", "--no-memo", "--json",
-                     "--procs", "2"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["class"] == "latency"
-        assert doc["equivalent"] is True
-        assert doc["memoized"] is False
-        assert doc["final_lc"] <= doc["initial_lc"]
-        won = [l for l in doc["lanes"] if l["status"] == "won"]
-        assert len(won) == 1 and won[0]["lane"] == doc["winner"]
-
-    def test_table_mode_prints_verdict(self, capsys):
-        assert main(["portfolio", "example", "--no-memo",
-                     "--procs", "2", "--class", "quality"]) == 0
-        out = capsys.readouterr().out
-        assert "Portfolio race" in out
-        assert "winner" in out
-        assert "verdict      : ok" in out
-
-    def test_bad_procs_exits_2(self, capsys):
-        assert main(["portfolio", "example", "--procs", "two"]) == 2
-        assert "bad --procs" in capsys.readouterr().err
-
-    def test_unknown_class_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["portfolio", "example", "--class", "cheapest"]
-            )
-        assert exc.value.code == 2
