@@ -1,11 +1,12 @@
-"""Perf regression harness — legacy set core vs dense bitmask core.
+"""Perf regression harness — sparse-set reference vs dense bitmask core.
 
-Times both rectangle-search cores (``repro.rectangles.bitview``) on the
+Times the production bitmask searches (``repro.rectangles.bitview``)
+against the sparse-set reference (``repro.verify.reference``) on the
 BENCH_rectsearch workload suite: exhaustive search where the replicated
 algorithm finishes, budget-truncated exhaustive search in the paper's
 DNF regime (spla/ex1010), and the ping-pong heuristic the sequential
 baseline and the timing-driven loop run.  Every workload cross-checks
-that the two cores return identical results, so this doubles as an
+that the two return identical results, so this doubles as an
 end-to-end differential test on real matrices.
 
 The committed ``benchmarks/results/BENCH_rectsearch.json`` is the full
@@ -24,7 +25,7 @@ def test_bitview_search_speedup(benchmark):
     if not quick:
         RESULTS_DIR.mkdir(exist_ok=True)
         write_report(report, RESULTS_DIR / "BENCH_rectsearch.json")
-    assert report["all_results_match"], "search cores disagree on a workload"
+    assert report["all_results_match"], "searches disagree on a workload"
     assert report["geomean_speedup"] > 1.0, (
-        f"bit core slower than legacy: {report['geomean_speedup']:.2f}x"
+        f"bit core slower than the reference: {report['geomean_speedup']:.2f}x"
     )

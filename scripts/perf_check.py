@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Time the legacy vs bitmask rectangle-search cores; write BENCH_rectsearch.json.
+"""Time the reference vs production rectangle searches; write BENCH_rectsearch.json.
 
 Usage:
 
@@ -10,9 +10,9 @@ Usage:
                                                            # serving sweep and
                                                            # rewrite BENCH_serving.json
 
-``--check`` fails (exit 1) when the bitmask core is slower than the
-legacy core in geomean, when any workload's two cores disagree on the
-search result, when the v2 branch-and-bound core's geomean speedup over
+``--check`` fails (exit 1) when the production bitmask core is slower
+than the sparse-set reference (:mod:`repro.verify.reference`) in
+geomean, when any workload's two lanes disagree on the search result, when the v2 branch-and-bound core's geomean speedup over
 the v1 bitview core falls below ``--min-v2-speedup`` (default 1.4) or
 its results are not equal-or-better on any exhaustive workload, when
 disabled tracing, the disabled fault-injection gates, or the always-on
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if the bit core is slower than legacy or results diverge",
+        help="exit 1 if the bit core is slower than the reference or results diverge",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=1.0,
@@ -170,7 +170,8 @@ def main(argv=None) -> int:
         if report is None:
             return 0
         if not report["all_results_match"]:
-            print("FAIL: search cores disagree on at least one workload",
+            print("FAIL: reference and production searches disagree on "
+                  "at least one workload",
                   file=sys.stderr)
             return 1
         if report["geomean_speedup"] < args.min_speedup:

@@ -5,7 +5,7 @@
     python -m repro batch MANIFEST [--workers N] [--repeat K] [--json OUT]
     python -m repro run-table {table1,table2,table3,table4,table6,eq3} [--scale S]
     python -m repro info CIRCUIT [--scale S]
-    python -m repro fuzz [--runs N] [--seed S] [--shrink] [--check] [--faults]
+    python -m repro fuzz [--runs N] [--seed S] [--shrink] [--faults]
     python -m repro chaos CIRCUIT [--plan SPEC] [--seed S] [--algorithm ALG]
     python -m repro chaos --serve [--runs N] [--seed S] [--plan SPEC]
     python -m repro serve [--workers N] [--port P] [--cache-dir D]
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzz of every factorization path x rectangle core",
+        help="differential fuzz of every factorization path (audits on)",
     )
     p_fuzz.add_argument("--runs", type=int, default=25,
                         help="number of random networks to generate")
@@ -443,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed (run i uses seed+i)")
     p_fuzz.add_argument("--paths",
                         help="comma-separated path names (default: all)")
-    p_fuzz.add_argument("--cores",
-                        help="comma-separated rectangle cores (default: bit,set)")
     p_fuzz.add_argument("--family",
                         help="pin one generator family (default: rotate all)")
     p_fuzz.add_argument("--shrink", action="store_true",
@@ -452,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--repro-dir",
                         help="write shrunk repros here as .eqn/.json pairs "
                              "(implies --shrink)")
-    p_fuzz.add_argument("--check", action="store_true",
-                        help="run with REPRO_CHECK-style invariant audits on")
     p_fuzz.add_argument("--vectors", type=int, default=256,
                         help="Monte-Carlo vectors when >8 primary inputs")
     p_fuzz.add_argument("--faults", action="store_true",
@@ -466,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--trace",
         help="record a span trace of the campaign (.jsonl → span-per-line, "
-             "otherwise Chrome-trace JSON); spans carry run/seed/path/core",
+             "otherwise Chrome-trace JSON); spans carry run/seed/path",
     )
     p_fuzz.set_defaults(fn=_cmd_fuzz)
 
@@ -697,11 +693,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=args.seed,
         paths=split(args.paths),
-        cores=split(args.cores),
         family=args.family,
         shrink=args.shrink or bool(args.repro_dir),
         repro_dir=args.repro_dir,
-        audits=args.check,
         vectors=args.vectors,
         faults=args.faults,
         fault_seed=args.fault_seed,
@@ -710,7 +704,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
         with _trace_to_file(args.trace):
             report = run_fuzz(config)
-    except ValueError as exc:  # unknown path/core/family name
+    except ValueError as exc:  # unknown path/family name
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())

@@ -2,14 +2,15 @@
 
 This module is the shared engine behind ``scripts/perf_check.py`` (the
 CLI / CI perf-smoke runner) and ``benchmarks/bench_bitview_search.py``
-(the pytest-benchmark wrapper).  It times the legacy sparse-set search
-core against the dense bitmask core (:mod:`repro.rectangles.bitview`)
+(the pytest-benchmark wrapper).  It times the sparse-set reference
+searches (:mod:`repro.verify.reference`) against the production bitmask
+core (:mod:`repro.rectangles.bitview`)
 on a fixed workload suite — the MCNC stand-in circuits plus the paper's
 worked examples — and reports per-workload wall time, search nodes/sec
 and speedup, plus the suite geomean, as the JSON written to
 ``benchmarks/results/BENCH_rectsearch.json``.
 
-Every timed pair is also cross-checked: a workload whose two cores
+Every timed pair is also cross-checked: a workload whose two lanes
 disagree on the result is reported as a failure, so the perf harness
 doubles as an end-to-end differential test on real matrices.
 
@@ -40,8 +41,11 @@ from repro.rectangles.pingpong import best_rectangle_pingpong, pingpong_candidat
 from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
+    best_of,
     best_rectangle_exhaustive,
+    enumerate_rectangles,
 )
+from repro.verify import reference
 
 #: JSON schema version for BENCH_rectsearch.json.
 SCHEMA = "rectsearch/3"
@@ -140,37 +144,38 @@ def _build_network(wl: Workload) -> BooleanNetwork:
 
 
 def _run_searcher(
-    wl: Workload, matrix: KCMatrix, core: str,
-    meter: Optional[CostMeter] = None, prune: bool = False,
+    wl: Workload, matrix: KCMatrix, lane: str, meter: Optional[CostMeter] = None,
 ):
-    """One full search under *core*; returns a comparable result object.
+    """One full search in *lane*; returns a comparable result object.
 
-    *prune* selects the v2 branch-and-bound/dominance search for
-    exhaustive workloads (the memo is always off here: a timing repeat
-    must measure the search, not a table hit).
+    ``"set"`` runs the sparse-set reference, ``"bit"`` the production
+    bitmask core; on exhaustive workloads both take the best of the
+    unpruned v1 stream, and ``"v2"`` is the production pruned search
+    (memo off: a timing repeat must measure the search, not a table hit).
     """
+    ref = lane == "set"
     if wl.searcher == "exhaustive":
         budget = SearchBudget(wl.budget) if wl.budget is not None else None
         try:
-            return ("done", best_rectangle_exhaustive(
-                matrix, budget=budget, meter=meter, core=core,
-                prune=prune, memo=False,
-            ))
+            if lane == "v2":
+                return ("done", best_rectangle_exhaustive(
+                    matrix, budget=budget, meter=meter, memo=False,
+                ))
+            enum = reference.enumerate_rectangles if ref else enumerate_rectangles
+            return ("done", best_of(enum(matrix, budget=budget, meter=meter)))
         except BudgetExceeded:
             return ("dnf", budget.used)
     if wl.searcher == "pingpong":
-        return ("done", best_rectangle_pingpong(
-            matrix, max_seeds=wl.max_seeds, meter=meter, core=core
-        ))
-    if wl.searcher == "pingpong-all":
-        return ("done", pingpong_candidates(
-            matrix, max_seeds=wl.max_seeds, meter=meter, core=core
-        ))
-    raise ValueError(f"unknown searcher {wl.searcher!r}")
+        search = reference.best_rectangle_pingpong if ref else best_rectangle_pingpong
+    elif wl.searcher == "pingpong-all":
+        search = reference.pingpong_candidates if ref else pingpong_candidates
+    else:
+        raise ValueError(f"unknown searcher {wl.searcher!r}")
+    return ("done", search(matrix, max_seeds=wl.max_seeds, meter=meter))
 
 
 def _time_core(
-    wl: Workload, matrix: KCMatrix, core: str, prune: bool = False,
+    wl: Workload, matrix: KCMatrix, lane: str,
 ) -> Tuple[float, object, float]:
     """Best-of-repeats wall time; returns (seconds, result, search_nodes).
 
@@ -180,7 +185,7 @@ def _time_core(
     the matrix (and hence the view) every iteration.
     """
     meter = CostMeter()
-    result = _run_searcher(wl, matrix, core, meter=meter, prune=prune)
+    result = _run_searcher(wl, matrix, lane, meter=meter)
     nodes = meter.counts.get("search_node", 0.0) or meter.counts.get(
         "pingpong_round", 0.0
     )
@@ -188,13 +193,14 @@ def _time_core(
     for _ in range(wl.repeats):
         matrix._touch()  # drop any cached view: time compile + search
         t0 = time.perf_counter()
-        _run_searcher(wl, matrix, core, prune=prune)
+        _run_searcher(wl, matrix, lane)
         best = min(best, time.perf_counter() - t0)
     return best, result, nodes
 
 
 def run_workload(wl: Workload) -> Dict:
-    """Time both cores on one workload; cross-check their results.
+    """Time the reference and production lanes on one workload;
+    cross-check their results.
 
     When tracing is enabled the timings above ran *traced* (that is the
     point of profiling a perf run), and the row gains a ``phases`` /
@@ -237,7 +243,7 @@ def run_workload(wl: Workload) -> Dict:
         # "Equal or better" here means: identical best rectangle, or v1
         # hit the node budget (DNF) where v2 either also hit it or —
         # strictly better — finished inside it.
-        t_v2, res_v2, nodes_v2 = _time_core(wl, matrix, "bit", prune=True)
+        t_v2, res_v2, nodes_v2 = _time_core(wl, matrix, "v2")
         v2_ok = (
             res_v2 == res_bit
             or (res_bit[0] == "dnf" and res_v2[0] in ("dnf", "done"))

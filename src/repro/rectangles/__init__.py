@@ -17,7 +17,7 @@ Sub-modules:
 - :mod:`~repro.rectangles.kcmatrix` — the sparse matrix with the global
   offset labeling used by the parallel algorithms,
 - :mod:`~repro.rectangles.bitview` — the dense bitset compilation of the
-  matrix that the default ("bit") search core runs on,
+  matrix that every search runs on,
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
 - :mod:`~repro.rectangles.search` — exhaustive column-anchored
@@ -28,7 +28,7 @@ Sub-modules:
   sequential kernel-extraction baseline) and network rewriting.
 """
 
-from repro.rectangles.bitview import BitKCView, default_core, resolve_core
+from repro.rectangles.bitview import BitKCView
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle, rectangle_gain
 from repro.rectangles.search import (
@@ -46,8 +46,6 @@ from repro.rectangles.cover import (
 
 __all__ = [
     "BitKCView",
-    "default_core",
-    "resolve_core",
     "KCMatrix",
     "build_kc_matrix",
     "Rectangle",

@@ -10,7 +10,7 @@ and every cell value is a fresh ``value_fn`` call.
 
 - row/column labels are remapped to dense positions ``0..R-1`` /
   ``0..C-1`` in sorted-label order, so position order *is* label order
-  and every tie-break of the set-based searchers is preserved;
+  and every label-order tie-break of the searchers is preserved;
 - each column's row set and each row's column set become Python int
   bitmasks — a row-set intersection is one big-int ``&``, a dominance
   test one equality, a cardinality one popcount;
@@ -40,11 +40,10 @@ algorithms' exchange/splice protocol is untouched.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from itertools import chain
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube
 from repro.rectangles.kcmatrix import dup_row_indices, node_is_clean
@@ -52,43 +51,11 @@ from repro.rectangles.rectangle import ValueFn, default_value
 
 CubeRef = Tuple[str, Cube]
 
-#: The two rectangle-search cores. "bit" is the default; "set" is the
-#: legacy sparse-set implementation kept for differential testing.
-CORES = ("bit", "set")
-
-ENV_VAR = "REPRO_RECT_CORE"
-
-
-def default_core() -> str:
-    """The process-wide default core (``REPRO_RECT_CORE``, default bit)."""
-    got = os.environ.get(ENV_VAR, "bit")
-    if got not in CORES:
-        raise ValueError(f"{ENV_VAR}={got!r}: expected one of {CORES}")
-    return got
-
-
-def resolve_core(core: Optional[str]) -> str:
-    """Resolve an explicit ``core=`` argument (``None`` → the default)."""
-    if core is None:
-        return default_core()
-    if core not in CORES:
-        raise ValueError(f"unknown rectangle core {core!r}; expected one of {CORES}")
-    return core
-
-
 if hasattr(int, "bit_count"):  # Python ≥ 3.10
     popcount = int.bit_count
 else:  # pragma: no cover - exercised on 3.9 CI only
     def popcount(mask: int) -> int:
         return bin(mask).count("1")
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set-bit positions of *mask* in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 #: ``_NEG_ABOVE[p] == -(1 << (p + 1))``, shared by every view.  Grown
@@ -411,7 +378,7 @@ class BitKCView:
         call because its answers may legitimately change between calls
         (the L-shaped cube-state protocol does exactly that).  Cells of
         one node naming the same original cube always receive equal
-        values, so marginal sums and gains match the sparse core's
+        values, so marginal sums and gains match the sparse reference's
         ``value_fn``-per-ref arithmetic exactly.
         """
         if value_fn is default_value:

@@ -133,20 +133,15 @@ def make_searcher(
     budget: Optional[SearchBudget] = None,
     meter=None,
     max_seeds: Optional[int] = None,
-    core: Optional[str] = None,
 ) -> Searcher:
-    """Build a searcher callable from a name ("pingpong"/"exhaustive").
-
-    *core* selects the rectangle-search core ("bit"/"set"; ``None`` →
-    the ``REPRO_RECT_CORE`` default) — see :mod:`repro.rectangles.bitview`.
-    """
+    """Build a searcher callable from a name ("pingpong"/"exhaustive")."""
     if kind == "pingpong":
         return lambda m: best_rectangle_pingpong(
-            m, value_fn=value_fn, meter=meter, max_seeds=max_seeds, core=core
+            m, value_fn=value_fn, meter=meter, max_seeds=max_seeds
         )
     if kind == "exhaustive":
         return lambda m: best_rectangle_exhaustive(
-            m, value_fn=value_fn, budget=budget, meter=meter, core=core
+            m, value_fn=value_fn, budget=budget, meter=meter
         )
     raise ValueError(f"unknown searcher {kind!r}")
 
@@ -161,7 +156,6 @@ def kernel_extract(
     meter=None,
     name_prefix: str = "[k",
     max_seeds: Optional[int] = 64,
-    core: Optional[str] = None,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> KernelExtractionResult:
     """Run greedy kernel extraction in place; return the run record.
@@ -193,7 +187,7 @@ def kernel_extract(
 
     if isinstance(searcher, str):
         searcher = make_searcher(
-            searcher, budget=budget, meter=meter, max_seeds=max_seeds, core=core
+            searcher, budget=budget, meter=meter, max_seeds=max_seeds
         )
     active: Set[str] = set(nodes) if nodes is not None else set(network.nodes)
     for n in active:

@@ -35,7 +35,7 @@ A process-wide default memo (``REPRO_RECT_MEMO``, default enabled;
 ``REPRO_RECT_MEMO_CAP`` bounds it) serves every search that does not
 pass an explicit ``memo=`` — the engine and serving tiers read its
 counters for ``/metrics``.  The module also owns the process-wide
-pruning counters the v2 search cores report
+pruning counters the v2 search reports
 (``rect_search_pruned_subtrees`` / ``rect_search_dominance_skips``).
 """
 

@@ -13,138 +13,30 @@ it is fast enough for the largest circuits, unlike the exhaustive search
 of :mod:`repro.rectangles.search` which the replicated parallel algorithm
 uses (and which DNFs on them, as in the paper).
 
-Like the exhaustive search, the heuristic runs on either core
-(``core=`` / ``REPRO_RECT_CORE``): the default ``"bit"`` core drives the
-ascents over the dense bitmask view — candidate sets are single ``&``
-operations and cell values are table lookups — while ``"set"`` is the
-legacy sparse implementation.  Both produce identical local optima,
-identical rankings and the identical best rectangle.
+The ascents run on the dense bitmask view — candidate sets are single
+``&`` operations and cell values are table lookups.  That is the one
+production implementation; :mod:`repro.verify.reference` keeps a
+sparse-set twin, and with audits on (``REPRO_CHECK=1``) every
+:func:`best_rectangle_pingpong` and :func:`pingpong_candidates` call is
+rerun there and must agree on the result and the ``pingpong_round``
+charges.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter, mul
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
-from repro.rectangles.bitview import popcount, resolve_core
+from repro.rectangles.bitview import popcount
 from repro.rectangles.kcmatrix import KCMatrix
-from repro.rectangles.rectangle import (
-    Rectangle,
-    ValueFn,
-    default_value,
-    rectangle_gain,
-)
+from repro.rectangles.rectangle import Rectangle, ValueFn, default_value
+from repro.rectangles.search import best_of, rectangle_rank
+from repro.verify import audit
 
 
-def _cols_for_rows(
-    matrix: KCMatrix,
-    rows: Tuple[int, ...],
-    value_fn: ValueFn,
-    min_cols: int,
-) -> Tuple[int, ...]:
-    """Best column set given fixed rows (per-column positive contribution)."""
-    if not rows:
-        return ()
-    candidates: Set[int] = set(matrix.by_row[rows[0]])
-    for r in rows[1:]:
-        candidates &= matrix.by_row[r]
-        if not candidates:
-            return ()
-    scored: List[Tuple[int, int]] = []
-    for c in candidates:
-        contrib = (
-            sum(value_fn(matrix.rows[r].node, matrix.entries[(r, c)]) for r in rows)
-            - len(matrix.cols[c])
-        )
-        scored.append((contrib, -c))
-    scored.sort(reverse=True)
-    chosen = [(-negc) for contrib, negc in scored if contrib > 0]
-    if len(chosen) < min_cols:
-        # Keep the top-min_cols columns so the rectangle stays a kernel.
-        chosen = [(-negc) for _, negc in scored[:min_cols]]
-        if len(chosen) < min_cols:
-            return ()
-    return tuple(sorted(chosen))
-
-
-def _rows_for_cols(
-    matrix: KCMatrix,
-    cols: Tuple[int, ...],
-    value_fn: ValueFn,
-) -> Tuple[int, ...]:
-    """Best row set given fixed columns (per-row positive marginal)."""
-    if not cols:
-        return ()
-    candidates: Set[int] = set(matrix.by_col[cols[0]])
-    for c in cols[1:]:
-        candidates &= matrix.by_col[c]
-        if not candidates:
-            return ()
-    chosen: List[int] = []
-    for r in sorted(candidates):
-        info = matrix.rows[r]
-        marginal = (
-            sum(value_fn(info.node, matrix.entries[(r, c)]) for c in cols)
-            - len(info.cokernel)
-            - 1
-        )
-        if marginal > 0:
-            chosen.append(r)
-    return tuple(chosen)
-
-
-def _ascents_set(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
-    """Legacy sparse-set ascents (kept behind ``core="set"``)."""
-    # Seed ranking: a row is promising when its columns are shared by
-    # other rows (that sharing is what a rectangle monetizes), weighted
-    # by the value sitting in those shared columns.  Raw row weight is a
-    # bad rank — the heaviest rows are the trivial self-kernel rows,
-    # whose columns nobody shares.
-    col_sharing = {c: len(rows) for c, rows in matrix.by_col.items()}
-    row_potential = {
-        r: sum(
-            (col_sharing[c] - 1)
-            * value_fn(matrix.rows[r].node, matrix.entries[(r, c)])
-            for c in matrix.by_row[r]
-        )
-        for r in matrix.rows
-    }
-    seeds = sorted(matrix.rows, key=lambda r: (-row_potential[r], r))
-    if max_seeds is not None:
-        seeds = seeds[:max_seeds]
-    tracing = active_tracer() is not None
-    n_rounds = 0
-
-    for seed in seeds:
-        rows: Tuple[int, ...] = (seed,)
-        cols: Tuple[int, ...] = ()
-        for _ in range(max_rounds):
-            if meter is not None:
-                meter.charge("pingpong_round", 1)
-            if tracing:
-                n_rounds += 1
-            new_cols = _cols_for_rows(matrix, rows, value_fn, min_cols)
-            if not new_cols:
-                break
-            new_rows = _rows_for_cols(matrix, new_cols, value_fn)
-            if not new_rows:
-                break
-            if new_cols == cols and new_rows == rows:
-                break
-            cols, rows = new_cols, new_rows
-        if len(cols) < min_cols or not rows:
-            continue
-        rect = Rectangle(rows=rows, cols=cols)
-        gain = rectangle_gain(matrix, rect, value_fn)
-        if gain > 0:
-            yield rect, gain
-    if tracing:
-        add_counters(pingpong_round_visit=n_rounds, ascent_seed=len(seeds))
-
-
-def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
-    """Bitmask ascents: same seeds, same fixpoints, same stream."""
+def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
+    """Yield the (rectangle, gain) each seed's coordinate ascent reaches."""
     view = matrix.bitview()
     values = view.value_table(value_fn)
     row_cols = view.row_cols
@@ -249,8 +141,8 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
     # the candidate list dedupes at the end), and both half-steps and
     # the gain are pure functions of the state for the duration of one
     # search — so memoize them per state tuple.  The round loop itself
-    # still runs per seed, keeping the meter's pingpong_round charges
-    # identical to the legacy core's.
+    # still runs per seed, so the meter is charged one pingpong_round per
+    # round actually walked.
     memo_cfr: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     memo_rfc: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     # Fixpoint state → the finished (Rectangle, gain), or () when the
@@ -318,14 +210,20 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
         )
 
 
-def _ascents(
-    matrix, value_fn, min_cols, max_seeds, max_rounds, meter, core=None
-) -> Iterator[Tuple[Rectangle, int]]:
-    """Yield the (rectangle, gain) each seed's coordinate ascent reaches."""
-    impl = _ascents_bit if resolve_core(core) == "bit" else _ascents_set
-    return impl(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+def rank_candidates(
+    stream: Iterable[Tuple[Rectangle, int]]
+) -> List[Tuple[Rectangle, int]]:
+    """The distinct rectangles of *stream* (best gain per rectangle),
+    best first under :func:`~repro.rectangles.search.rectangle_rank`."""
+    found: dict = {}
+    for rect, gain in stream:
+        key = (rect.rows, rect.cols)
+        if key not in found or found[key][1] < gain:
+            found[key] = (rect, gain)
+    return sorted(found.values(), key=lambda rg: rectangle_rank(*rg))
 
 
+@audit.audit_search
 def pingpong_candidates(
     matrix: KCMatrix,
     value_fn: ValueFn = default_value,
@@ -333,7 +231,6 @@ def pingpong_candidates(
     max_seeds: Optional[int] = None,
     max_rounds: int = 8,
     meter=None,
-    core: Optional[str] = None,
 ) -> List[Tuple[Rectangle, int]]:
     """All distinct positive-gain local optima, best first.
 
@@ -341,16 +238,12 @@ def pingpong_candidates(
     e.g. the timing-driven extraction loop, which skips rectangles whose
     new node would violate the depth budget.
     """
-    found: dict = {}
-    for rect, gain in _ascents(
-        matrix, value_fn, min_cols, max_seeds, max_rounds, meter, core
-    ):
-        key = (rect.rows, rect.cols)
-        if key not in found or found[key][1] < gain:
-            found[key] = (rect, gain)
-    return sorted(found.values(), key=lambda rg: (-rg[1], rg[0].cols, rg[0].rows))
+    return rank_candidates(
+        _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+    )
 
 
+@audit.audit_search
 def best_rectangle_pingpong(
     matrix: KCMatrix,
     value_fn: ValueFn = default_value,
@@ -358,7 +251,6 @@ def best_rectangle_pingpong(
     max_seeds: Optional[int] = None,
     max_rounds: int = 8,
     meter=None,
-    core: Optional[str] = None,
 ) -> Optional[Tuple[Rectangle, int]]:
     """Best rectangle found by seeded coordinate ascent.
 
@@ -366,14 +258,6 @@ def best_rectangle_pingpong(
     the number tried).  Deterministic: ties break toward
     lexicographically smaller (cols, rows).
     """
-    best: Optional[Tuple[Rectangle, int]] = None
-    for rect, gain in _ascents(
-        matrix, value_fn, min_cols, max_seeds, max_rounds, meter, core
-    ):
-        if (
-            best is None
-            or gain > best[1]
-            or (gain == best[1] and (rect.cols, rect.rows) < (best[0].cols, best[0].rows))
-        ):
-            best = (rect, gain)
-    return best
+    return best_of(
+        _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+    )

@@ -122,10 +122,20 @@ def worker_main(
         return doc
 
     work: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
+    gateway_pid = os.getppid()
 
     def control_loop() -> None:
         while True:
             try:
+                # A forked worker also holds its own and its elder
+                # siblings' gateway-side pipe ends, so a gateway killed
+                # with SIGKILL never shows up here as EOF.  Poll, and
+                # stop once the worker has been re-parented.
+                if not conn.poll(1.0):
+                    if os.getppid() != gateway_pid:
+                        work.put(None)
+                        return
+                    continue
                 msg = conn.recv()
             except (EOFError, OSError):
                 work.put(None)

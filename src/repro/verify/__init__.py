@@ -7,15 +7,19 @@ oracle:
 
 - :mod:`~repro.verify.generator` — seeded random-network families
   (dense, sparse, duplicate-cube, shared-kernel, degenerate),
-- :mod:`~repro.verify.paths` — the registry of factorization paths ×
-  rectangle cores driven differentially,
-- :mod:`~repro.verify.fuzz` — the fuzz driver (equivalence, literal-
-  count bounds, cross-core determinism),
+- :mod:`~repro.verify.paths` — the registry of factorization paths
+  driven differentially,
+- :mod:`~repro.verify.fuzz` — the fuzz driver (structure, equivalence,
+  literal-count bounds, reference agreement),
 - :mod:`~repro.verify.shrink` — the greedy failure minimizer,
 - :mod:`~repro.verify.corpus` — minimal-repro persistence and replay
   (``tests/fuzz_corpus/``),
 - :mod:`~repro.verify.audit` — the ``REPRO_CHECK=1`` sanitizer-style
-  invariant audits wired into :class:`KCMatrix`/:class:`CubeStateStore`.
+  invariant audits wired into :class:`KCMatrix`/:class:`CubeStateStore`
+  and into every rectangle search,
+- :mod:`~repro.verify.reference` — the sparse-set rectangle searches.
+  Production has one search core; with audits on, every search it runs
+  is rerun here and must agree exactly.
 
 Only :mod:`~repro.verify.audit` is imported eagerly — it is a dependency
 of the rectangle core itself; everything else loads lazily so importing
@@ -31,7 +35,6 @@ _LAZY = {
     "FactorPath": "repro.verify.paths",
     "all_paths": "repro.verify.paths",
     "get_path": "repro.verify.paths",
-    "rect_core": "repro.verify.paths",
     "FuzzConfig": "repro.verify.fuzz",
     "FuzzFailure": "repro.verify.fuzz",
     "FuzzReport": "repro.verify.fuzz",

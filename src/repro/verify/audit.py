@@ -1,6 +1,6 @@
 """Opt-in invariant audits (sanitizer-style, ``REPRO_CHECK=1``).
 
-The rectangle cores and the speculative cube-state protocol maintain
+The rectangle search and the speculative cube-state protocol maintain
 redundant indexes for speed: ``KCMatrix`` keeps ``entries``/``by_row``/
 ``by_col``/``node_rows``/``col_of_cube`` in lockstep, compiles a dense
 :class:`~repro.rectangles.bitview.BitKCView` mirror of the whole
@@ -10,9 +10,9 @@ bookkeeping silently corrupts factorization results long before an
 equivalence check can localize it.
 
 This module provides the checks and the switch.  Audits are **off by
-default** — the hot paths pay one predicate call per mutation — and are
-enabled process-wide by ``REPRO_CHECK=1`` in the environment (read once,
-lazily) or :func:`set_audits` from code.  When enabled:
+default** — the hot paths pay one predicate call per mutation or search
+— and are enabled process-wide by ``REPRO_CHECK=1`` in the environment
+(read once, lazily) or :func:`set_audits` from code.  When enabled:
 
 - every :class:`KCMatrix` mutator validates the delta it just applied
   (O(delta), not O(matrix)),
@@ -22,20 +22,28 @@ lazily) or :func:`set_audits` from code.  When enabled:
   full structure, including sparse/bitview parity and the view's
   dup-row and clean-row tables against a full scan,
 - every ``CubeStateStore`` operation validates the records it touched
-  (claim/value/owner consistency — the no-double-cover invariant).
+  (claim/value/owner consistency — the no-double-cover invariant),
+- every production rectangle search (:func:`audit_search`) is rerun on
+  the sparse-set reference of :mod:`repro.verify.reference`, which
+  must return the same result, make the same meter charges and spend
+  the same budget.
 
 Violations raise :class:`InvariantViolation` with a message naming the
-index that disagreed.  The fuzz driver (:mod:`repro.verify.fuzz`) runs
-with audits on under ``repro fuzz --check``.
+index or search that disagreed.  The fuzz driver
+(:mod:`repro.verify.fuzz`) and corpus replay always run with audits on.
 
-This module must stay import-light (``os`` plus :mod:`repro.algebra`):
-it is imported by :mod:`repro.rectangles.kcmatrix` at module load.
+This module must stay import-light (``os``/``functools`` plus
+:mod:`repro.algebra`): it is imported by :mod:`repro.rectangles` at
+module load, and loads the reference lazily.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
 import os
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.algebra.cube import cube_union
 
@@ -72,6 +80,17 @@ def set_audits(on) -> None:
     """Force audits on/off for this process (``None`` re-reads the env)."""
     global _enabled
     _enabled = None if on is None else bool(on)
+
+
+@contextlib.contextmanager
+def audits_on():
+    """Run a block with audits on, then restore the previous setting."""
+    prev = _enabled
+    set_audits(True)
+    try:
+        yield
+    finally:
+        set_audits(prev)
 
 
 def _fail(msg: str) -> None:
@@ -295,3 +314,101 @@ def audit_cubestate(store: "CubeStateStore") -> None:
     """Full-store sweep of :func:`audit_cube_record`."""
     for ref, rec in store._recs.items():
         audit_cube_record(ref, rec)
+
+
+# ----------------------------------------------------------------------
+# Rectangle searches: production vs the sparse-set reference
+# ----------------------------------------------------------------------
+
+class _MeterTap:
+    """A meter proxy that tallies every charge and forwards it on."""
+
+    def __init__(self, inner=None) -> None:
+        self.counts: Dict[str, float] = {}
+        self.inner = inner
+
+    def charge(self, kind: str, amount: float = 1.0) -> None:
+        self.counts[kind] = self.counts.get(kind, 0.0) + amount
+        if self.inner is not None:
+            self.inner.charge(kind, amount)
+
+
+class _ValueRecorder:
+    """Passes every call through to *value_fn* and records the answers,
+    so the reference can replay them without calling (or metering) it."""
+
+    def __init__(self, value_fn: Callable) -> None:
+        self.value_fn = value_fn
+        self.seen: Dict[tuple, int] = {}
+        self.stable = True
+
+    def __call__(self, node, cube) -> int:
+        got = self.value_fn(node, cube)
+        if self.seen.setdefault((node, cube), got) != got:
+            self.stable = False  # the values moved under the search
+        return got
+
+
+def audit_search(search: Callable) -> Callable:
+    """Decorate a production rectangle search with the reference check.
+
+    With audits on, each call also runs the same-named function of
+    :mod:`repro.verify.reference` on the same matrix and arguments, with
+    a fresh meter, a copy of the budget as it stood and — for a
+    non-default ``value_fn`` (never :func:`default_value`, whose identity
+    selects the v2 search) — the values production recorded.  Any
+    difference in the result, the meter charges or the budget spend (or
+    in running out of budget) raises :class:`InvariantViolation` naming
+    the search.  A memo hit is compared like a miss.  If a value function
+    changed its answer for a cube mid-search (threads covering cubes
+    concurrently) there is no single input to replay, and the comparison
+    is skipped.
+    """
+
+    @functools.wraps(search)
+    def audited(matrix, *args, **kwargs):
+        if not enabled():
+            return search(matrix, *args, **kwargs)
+        kwargs.update(zip(search.__code__.co_varnames[1:1 + len(args)], args))
+        return _check_search(search, matrix, kwargs)
+
+    return audited
+
+
+def _check_search(search: Callable, matrix, kwargs: dict):
+    from repro.rectangles.rectangle import default_value
+    from repro.rectangles.search import BudgetExceeded
+    from repro.verify import reference
+
+    recorder = None
+    if kwargs.get("value_fn", default_value) is not default_value:
+        recorder = kwargs["value_fn"] = _ValueRecorder(kwargs["value_fn"])
+    ref_kwargs = {k: v for k, v in kwargs.items() if k != "memo"}
+    ref_kwargs["meter"] = _MeterTap()
+    if "budget" in kwargs:
+        ref_kwargs["budget"] = copy.copy(kwargs["budget"])
+    kwargs["meter"] = _MeterTap(kwargs.get("meter"))
+
+    def run(fn, call):
+        budget = call.get("budget")
+        used = budget.used if budget is not None else 0
+        try:
+            result = fn(matrix, **call)
+        except BudgetExceeded as exc:
+            return exc, {"result": "BudgetExceeded"}
+        spent = budget.used - used if budget is not None else 0
+        return result, {"result": result, "meter charges": call["meter"].counts,
+                        "budget spend": spent}
+
+    result, have = run(search, kwargs)
+    if recorder is None or recorder.stable:
+        if recorder is not None:
+            ref_kwargs["value_fn"] = lambda node, cube: recorder.seen[node, cube]
+        _, want = run(getattr(reference, search.__name__), ref_kwargs)
+        if have != want:
+            what = next(k for k in have if have[k] != want.get(k))
+            _fail(f"{search.__name__}: production {what} {have[what]!r} != "
+                  f"reference {want.get(what)!r}")
+    if isinstance(result, BudgetExceeded):
+        raise result
+    return result

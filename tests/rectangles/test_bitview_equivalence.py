@@ -1,12 +1,12 @@
-"""Differential tests: the bitmask core must replicate the set core exactly.
+"""Differential tests: the production bitmask core must replicate the
+sparse-set reference (:mod:`repro.verify.reference`) exactly.
 
-The contract (see :mod:`repro.rectangles.bitview`) is byte-level
-equivalence, not merely same-best: identical (rectangle, gain) streams
-in identical order, identical budget consumption at the point of
-exhaustion, identical meter charges, and byte-identical factorization
-results end to end.  These tests exercise it on seeded random KC
-matrices (which hit degenerate shapes the circuit suites may not) and
-on the repo's example circuits.
+The contract is byte-level equivalence, not merely same-best: identical
+(rectangle, gain) streams in identical order, identical budget
+consumption at the point of exhaustion, identical meter charges, and
+byte-identical factorization results end to end.  These tests exercise
+it on seeded random KC matrices (which hit degenerate shapes the circuit
+suites may not) and on the repo's example circuits.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ from repro.circuits.examples import (
 )
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
-from repro.rectangles.bitview import (
-    BitKCView,
-    CORES,
-    ENV_VAR,
-    default_core,
-    resolve_core,
-)
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import (
@@ -42,6 +35,8 @@ from repro.rectangles.search import (
     best_rectangle_exhaustive,
     enumerate_rectangles,
 )
+from repro.verify import reference
+from repro.verify.reference import reference_searcher
 
 
 def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
@@ -82,54 +77,53 @@ def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
 
 SEEDS = range(12)
 
+#: The v1 stream of each implementation: production bit core, reference.
+ENUMERATORS = {"bit": enumerate_rectangles, "set": reference.enumerate_rectangles}
+
 
 class TestStreamEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_identical_stream(self, seed):
         mat = random_kc_matrix(seed)
-        stream_set = list(enumerate_rectangles(mat, core="set"))
-        stream_bit = list(enumerate_rectangles(mat, core="bit"))
+        stream_set = list(reference.enumerate_rectangles(mat))
+        stream_bit = list(enumerate_rectangles(mat))
         assert stream_set == stream_bit
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_nonprime_stream(self, seed):
         mat = random_kc_matrix(seed)
-        stream_set = list(enumerate_rectangles(mat, core="set", prime_only=False))
-        stream_bit = list(enumerate_rectangles(mat, core="bit", prime_only=False))
+        stream_set = list(reference.enumerate_rectangles(mat, prime_only=False))
+        stream_bit = list(enumerate_rectangles(mat, prime_only=False))
         assert stream_set == stream_bit
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_tie_broken_best(self, seed):
         mat = random_kc_matrix(seed)
-        assert best_rectangle_exhaustive(
-            mat, core="set"
-        ) == best_rectangle_exhaustive(mat, core="bit")
+        assert reference.best_rectangle_exhaustive(
+            mat
+        ) == best_rectangle_exhaustive(mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_pingpong(self, seed):
         mat = random_kc_matrix(seed)
-        assert pingpong_candidates(mat, core="set") == pingpong_candidates(
-            mat, core="bit"
-        )
-        assert best_rectangle_pingpong(
-            mat, max_seeds=5, core="set"
-        ) == best_rectangle_pingpong(mat, max_seeds=5, core="bit")
+        assert reference.pingpong_candidates(mat) == pingpong_candidates(mat)
+        assert reference.best_rectangle_pingpong(
+            mat, max_seeds=5
+        ) == best_rectangle_pingpong(mat, max_seeds=5)
 
     def test_eq1_stream(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        assert list(enumerate_rectangles(mat, core="set")) == list(
-            enumerate_rectangles(mat, core="bit")
+        assert list(reference.enumerate_rectangles(mat)) == list(
+            enumerate_rectangles(mat)
         )
 
     def test_mcnc_circuit_stream_and_meter(self):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         meters = {}
         streams = {}
-        for core in CORES:
+        for core, enum in ENUMERATORS.items():
             meters[core] = CostMeter()
-            streams[core] = list(
-                enumerate_rectangles(mat, meter=meters[core], core=core)
-            )
+            streams[core] = list(enum(mat, meter=meters[core]))
         assert streams["bit"] == streams["set"]
         assert meters["bit"].counts.get("search_node") == meters["set"].counts.get(
             "search_node"
@@ -137,10 +131,11 @@ class TestStreamEquivalence:
 
     def test_mcnc_circuit_pingpong_meter(self):
         mat = build_kc_matrix(make_circuit("dalu", scale=0.2))
-        meters = {c: CostMeter() for c in CORES}
-        got = {
-            c: pingpong_candidates(mat, meter=meters[c], core=c) for c in CORES
+        searches = {
+            "bit": pingpong_candidates, "set": reference.pingpong_candidates,
         }
+        meters = {c: CostMeter() for c in searches}
+        got = {c: search(mat, meter=meters[c]) for c, search in searches.items()}
         assert got["bit"] == got["set"]
         assert meters["bit"].counts.get("pingpong_round") == meters[
             "set"
@@ -148,14 +143,14 @@ class TestStreamEquivalence:
 
 
 class TestBudgetParity:
-    """Both cores must spend the budget at identical tree nodes."""
+    """Production and reference spend the budget at identical tree nodes."""
 
     def run_core(self, mat, core, max_nodes):
         budget = SearchBudget(max_nodes)
         out = []
         raised = False
         try:
-            for rg in enumerate_rectangles(mat, budget=budget, core=core):
+            for rg in ENUMERATORS[core](mat, budget=budget):
                 out.append(rg)
         except BudgetExceeded:
             raised = True
@@ -188,9 +183,11 @@ class TestEndToEnd:
     def test_kernel_extract_identical(self, factory, searcher):
         results = {}
         nets = {}
-        for core in CORES:
+        # kernel_extract's default max_seeds for the named searcher is 64.
+        ref_searcher = reference_searcher(searcher, max_seeds=64)
+        for core, search in (("bit", searcher), ("set", ref_searcher)):
             net = factory()
-            results[core] = kernel_extract(net, searcher=searcher, core=core)
+            results[core] = kernel_extract(net, searcher=search)
             nets[core] = net
         assert nets["bit"].nodes == nets["set"].nodes
         assert results["bit"].final_lc == results["set"].final_lc
@@ -199,11 +196,12 @@ class TestEndToEnd:
         ]
 
     def test_eq1_quality_identical_on_both_cores(self):
-        # Eq. 1 starts at LC 33; greedy extraction lands both cores on
-        # the same optimized network (LC 21 with this repo's searchers).
-        for core in CORES:
+        # Eq. 1 starts at LC 33; greedy extraction lands production and
+        # the reference on the same optimized network (LC 21 with this
+        # repo's searchers).
+        for searcher in ("exhaustive", reference_searcher("exhaustive")):
             net = paper_example_network()
-            kernel_extract(net, searcher="exhaustive", core=core)
+            kernel_extract(net, searcher=searcher)
             assert net.literal_count() == 21
 
 
@@ -277,26 +275,3 @@ class TestViewStructure:
         assert view.value_table() is view.value_table()
         custom = view.value_table(lambda node, cube_: 1)
         assert custom == [1] * view.num_entries
-
-
-class TestCoreSelection:
-    def test_default_is_bit(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_core() == "bit"
-        assert resolve_core(None) == "bit"
-
-    def test_env_var_selects_legacy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "set")
-        assert default_core() == "set"
-        assert resolve_core(None) == "set"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "set")
-        assert resolve_core("bit") == "bit"
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_core("simd")
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        with pytest.raises(ValueError):
-            default_core()

@@ -5,11 +5,13 @@ sequence of :func:`~repro.rectangles.cover.kernel_extract` (new node,
 kernel, rectangle labels, modified nodes, measured delta), the final
 literal count and the metered operation counts.  Any change to how the
 KC matrix is built, labelled or searched that alters a tie-break, a
-label or a meter charge shows up here as a byte difference.  Every case
-runs on its own empty rectangle memo, so the set core's exhaustive
-searches really run instead of replaying the bit core's; a replay test
-reruns each exhaustive case on its first run's memo and requires the
-all-hit second run to match the fixture too.
+label or a meter charge shows up here as a byte difference.  Each case
+runs twice: ``/bit`` through the production searchers, ``/set`` through
+the sparse-set reference (:func:`repro.verify.reference.reference_searcher`),
+and both must match the same fixture.  Every case runs on its own empty
+rectangle memo; a replay test reruns each production exhaustive case on
+its first run's memo and requires the all-hit second run to match the
+fixture too.
 
 Regenerate (only when a behaviour change is intended, and say why in
 the change log) with::
@@ -31,6 +33,7 @@ from repro.rectangles.bitview import BitKCView
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.memo import RectMemo, scoped_default_memo
 from repro.verify.corpus import load_corpus
+from repro.verify.reference import reference_searcher
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "golden_extract.json")
@@ -46,6 +49,7 @@ MCNC_CASES = (
     ("ex1010", 0.05),
 )
 SEARCHERS = ("pingpong", "exhaustive")
+#: "bit" = the production searchers, "set" = the sparse-set reference.
 CORES = ("bit", "set")
 
 
@@ -75,12 +79,14 @@ def record(case_id, memo=None) -> dict:
     """Run one case metered and return its JSON-ready trace.
 
     The run gets *memo* as its rectangle memo, by default a fresh empty
-    one, so a case never replays searches another case or core made.
+    one, so a case never replays searches another case made.
     """
     net, searcher, core = _make(case_id)
     meter = CostMeter()
+    if core == "set":
+        searcher = reference_searcher(searcher, meter=meter, max_seeds=64)
     with scoped_default_memo(memo if memo is not None else RectMemo()):
-        res = kernel_extract(net, searcher=searcher, meter=meter, core=core)
+        res = kernel_extract(net, searcher=searcher, meter=meter)
     steps = [
         [s.new_node, [list(c) for c in s.kernel], list(s.rectangle.rows),
          list(s.rectangle.cols), list(s.modified_nodes), s.actual_delta]
@@ -110,7 +116,7 @@ def test_matches_golden(case_id):
     assert _dump(got) == _dump(expect)
 
 
-@pytest.mark.parametrize("case_id", [c for c in case_ids() if "/exhaustive/" in c])
+@pytest.mark.parametrize("case_id", [c for c in case_ids() if c.endswith("/exhaustive/bit")])
 def test_memo_replay_matches_golden(case_id, monkeypatch):
     """Run twice on one memo: the second run is all hits, and both runs
     match the fixture byte for byte (steps and meter counts)."""
@@ -154,8 +160,8 @@ def test_block_view_equals_sparse_compile(case_id, monkeypatch):
         return mat
 
     monkeypatch.setattr(cover, "build_kc_matrix", spy)
-    net, searcher, core = _make(case_id)
-    kernel_extract(net, searcher=searcher, core=core)
+    net, searcher, _ = _make(case_id)
+    kernel_extract(net, searcher=searcher)
     assert built
     for from_blocks, from_sparse in zip(built[::2], built[1::2]):
         assert from_blocks == from_sparse

@@ -1,11 +1,12 @@
 """Differential tests for the v2 pruned search and the canonical memo.
 
-The v2 exhaustive core (branch-and-bound with an admissible
+The v2 exhaustive search (branch-and-bound with an admissible
 remaining-gain bound plus column-dominance reduction; see the "Search
 pruning & memoization" section of docs/algorithms.md) must return the
 *identical* best rectangle — value and identity, including lexicographic
-tie-breaks — as the unpruned v1 stream on every matrix, on both cores,
-with both cores spending budgets identically.  The cross-job memo must
+tie-breaks — as the best of the unpruned v1 stream on every matrix, for
+both the production stream and the sparse-set reference's, and must
+spend budgets exactly like the reference's v2 twin.  The cross-job memo must
 be budget/meter-exact on hits, invalidate itself across matrix version
 bumps, and persist through a DiskCache backing.
 """
@@ -31,15 +32,22 @@ from repro.rectangles.memo import (
 from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
+    best_of,
     best_rectangle_exhaustive,
-    prune_enabled,
-    resolve_prune,
 )
 from repro.serve.diskcache import DiskCache
-from tests.rectangles.test_bitview_equivalence import random_kc_matrix
+from repro.verify import reference
+from tests.rectangles.test_bitview_equivalence import ENUMERATORS, random_kc_matrix
 
+#: Which v1 stream the unpruned best is taken from: the production bit
+#: core's ("bit") or the sparse-set reference's ("set").
 CORES = ("set", "bit")
 SEEDS = range(10)
+
+
+def v1_best(mat, core="bit", **kwargs):
+    """The best rectangle of the unpruned v1 stream of *core*."""
+    return best_of(ENUMERATORS[core](mat, **kwargs))
 
 
 def dup_rows_matrix(seed: int) -> KCMatrix:
@@ -75,36 +83,46 @@ class TestPrunedEqualsUnpruned:
     @pytest.mark.parametrize("core", CORES)
     def test_random_matrices(self, seed, core):
         mat = random_kc_matrix(seed)
-        assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+        assert best_rectangle_exhaustive(mat, memo=False) == v1_best(mat, core)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("core", CORES)
     def test_dup_rows_matrices(self, seed, core):
         mat = dup_rows_matrix(seed)
-        assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+        assert best_rectangle_exhaustive(mat, memo=False) == v1_best(mat, core)
 
     @pytest.mark.parametrize("core", CORES)
     def test_mcnc_circuit(self, core):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
-        assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+        assert best_rectangle_exhaustive(mat, memo=False) == v1_best(mat, core)
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(random_kc_matrix, 231), (random_kc_matrix, 394),
+         (dup_rows_matrix, 227), (dup_rows_matrix, 262), (dup_rows_matrix, 329)],
+    )
+    def test_tie_break_on_sorted_columns(self, make, seed):
+        # Tied best rectangles where the winner's columns, in walk
+        # order, put a forced column above a later branch column: the
+        # tie-break must compare sorted columns, as v1 does.
+        mat = make(seed)
+        best = best_rectangle_exhaustive(mat, memo=False)
+        assert best == v1_best(mat) == reference.best_rectangle_exhaustive(mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cross_core_v2_parity(self, seed):
         mat = dup_rows_matrix(seed)
+        searches = {
+            "bit": lambda m, meter: best_rectangle_exhaustive(
+                m, memo=False, meter=meter
+            ),
+            "set": reference.best_rectangle_exhaustive,
+        }
         got = {}
-        for core in CORES:
+        for core, search in searches.items():
             meter = CostMeter()
             got[core] = (
-                best_rectangle_exhaustive(
-                    mat, core=core, prune=True, memo=False, meter=meter
-                ),
-                meter.counts.get("search_node"),
+                search(mat, meter=meter), meter.counts.get("search_node")
             )
         assert got["set"] == got["bit"]
 
@@ -114,19 +132,21 @@ class TestPrunedEqualsUnpruned:
         mat = random_kc_matrix(0)
         custom = lambda node, c: 1  # noqa: E731
         assert best_rectangle_exhaustive(
-            mat, value_fn=custom, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, value_fn=custom, prune=False)
+            mat, value_fn=custom, memo=False
+        ) == v1_best(mat, value_fn=custom)
 
 
 class TestBudgetParity:
-    """Both v2 cores spend the budget at identical tree nodes."""
+    """Production v2 and the reference's v2 twin spend the budget at
+    identical tree nodes."""
 
     def run_core(self, mat, core, max_nodes):
         budget = SearchBudget(max_nodes)
         try:
-            res = best_rectangle_exhaustive(
-                mat, core=core, prune=True, memo=False, budget=budget
-            )
+            if core == "set":
+                res = reference.best_rectangle_exhaustive(mat, budget=budget)
+            else:
+                res = best_rectangle_exhaustive(mat, memo=False, budget=budget)
             return ("done", res, budget.used)
         except BudgetExceeded:
             return ("dnf", None, budget.used)
@@ -142,14 +162,11 @@ class TestBudgetParity:
     def test_v2_never_spends_more_than_v1(self):
         for seed in SEEDS:
             mat = dup_rows_matrix(seed)
-            spent = {}
-            for prune in (False, True):
-                budget = SearchBudget(10**9)
-                best_rectangle_exhaustive(
-                    mat, prune=prune, memo=False, budget=budget
-                )
-                spent[prune] = budget.used
-            assert spent[True] <= spent[False]
+            v1_budget = SearchBudget(10**9)
+            v1_best(mat, budget=v1_budget)
+            v2_budget = SearchBudget(10**9)
+            best_rectangle_exhaustive(mat, memo=False, budget=v2_budget)
+            assert v2_budget.used <= v1_budget.used
 
 
 def misex3_matrix(scale: float = 0.1, pid: int = 0) -> KCMatrix:
@@ -200,12 +217,12 @@ class TestMemo:
         res = best_rectangle_exhaustive(mat, memo=memo)
         stats = memo.stats()
         assert stats["misses"] == 2 and stats["hits"] == 0
-        assert res == best_rectangle_exhaustive(mat, prune=False)
+        assert res == v1_best(mat)
 
     def test_hit_is_budget_and_meter_exact(self):
         live_meter = CostMeter()
         live = best_rectangle_exhaustive(
-            misex3_matrix(), memo=False, prune=True, meter=live_meter
+            misex3_matrix(), memo=False, meter=live_meter
         )
         nodes = int(live_meter.counts["search_node"])
 
@@ -282,13 +299,6 @@ class TestMemo:
 
 
 class TestDefaultsAndCounters:
-    def test_prune_env_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RECT_PRUNE", raising=False)
-        assert prune_enabled() and resolve_prune(None)
-        monkeypatch.setenv("REPRO_RECT_PRUNE", "0")
-        assert not prune_enabled() and not resolve_prune(None)
-        assert resolve_prune(True)
-
     def test_memo_env_gate(self, monkeypatch, no_default_memo):
         monkeypatch.setenv("REPRO_RECT_MEMO", "0")
         assert not memo_enabled()
@@ -300,7 +310,7 @@ class TestDefaultsAndCounters:
     def test_global_stats_and_snapshot(self, no_default_memo):
         before = GLOBAL_SEARCH_STATS.snapshot()
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
-        best_rectangle_exhaustive(mat, memo=False, prune=True)
+        best_rectangle_exhaustive(mat, memo=False)
         after = GLOBAL_SEARCH_STATS.snapshot()
         assert after["searches"] == before["searches"] + 1
         assert after["pruned_subtrees"] >= before["pruned_subtrees"]

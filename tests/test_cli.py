@@ -237,14 +237,19 @@ class TestFuzzCommand:
 
     def test_filters_and_check(self, capsys):
         assert main([
-            "fuzz", "--runs", "2", "--seed", "1", "--quiet", "--check",
-            "--paths", "seq-pingpong", "--cores", "bit",
+            "fuzz", "--runs", "2", "--seed", "1", "--quiet",
+            "--paths", "seq-pingpong",
         ]) == 0
-        assert "2 path×core checks" in capsys.readouterr().out
+        assert "2 path checks" in capsys.readouterr().out
+        # Audits are always on and there is one search core: the old
+        # --check and --cores options are gone.
+        for gone in (["--check"], ["--cores", "bit"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["fuzz", "--runs", "1", *gone])
+            assert exc.value.code == 2
 
     def test_progress_lines_by_default(self, capsys):
-        assert main(["fuzz", "--runs", "1",
-                     "--paths", "seq-pingpong", "--cores", "bit"]) == 0
+        assert main(["fuzz", "--runs", "1", "--paths", "seq-pingpong"]) == 0
         assert "family=" in capsys.readouterr().out
 
     def test_unknown_path_exits_2(self, capsys):

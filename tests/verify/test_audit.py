@@ -189,3 +189,101 @@ class TestCubeStateAudits:
             audit.audit_cover_transition(
                 ref, (CubeStatus.DIVIDED, -1), rec, 0
             )
+
+
+def _tied_matrix():
+    """F = ac + ad + bc + bd: the kernels (c + d) and (a + b) extract
+    with equal gain, so only the tie-break picks one."""
+    from repro.network.boolean_network import BooleanNetwork
+
+    net = BooleanNetwork("tie")
+    net.add_inputs(["a", "b", "c", "d"])
+    net.add_node("F", "ac + ad + bc + bd")
+    net.add_output("F")
+    return build_kc_matrix(net)
+
+
+class TestSearchAudits:
+    """Every production search is rerun on the sparse-set reference."""
+
+    def test_clean_searches_pass(self, audits_on):
+        from repro.machine.costmodel import CostMeter
+        from repro.rectangles.pingpong import (
+            best_rectangle_pingpong,
+            pingpong_candidates,
+        )
+        from repro.rectangles.search import SearchBudget, best_rectangle_exhaustive
+
+        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
+        meter = CostMeter()
+        budget = SearchBudget(10**6)
+        assert best_rectangle_exhaustive(mat, memo=False, budget=budget, meter=meter)
+        assert best_rectangle_pingpong(mat, meter=meter)
+        assert pingpong_candidates(mat, max_seeds=8, meter=meter)
+        assert budget.used == meter.counts["search_node"] > 0
+
+    def test_exhaustive_tie_break_divergence(self, audits_on, monkeypatch):
+        from repro.rectangles import search
+        from repro.rectangles.rectangle import Rectangle
+
+        mat = _tied_matrix()
+        real = search._best_rectangle_bit_v2
+        winner = Rectangle(rows=(2, 3), cols=(5, 6))
+        loser = Rectangle(rows=(4, 5), cols=(7, 8))
+
+        def other_side(*args):
+            best, stats = real(*args)
+            assert best == (winner, 2)
+            return (loser, 2), stats
+
+        monkeypatch.setattr(search, "_best_rectangle_bit_v2", other_side)
+        with pytest.raises(InvariantViolation, match="best_rectangle_exhaustive.*result"):
+            search.best_rectangle_exhaustive(mat, memo=False)
+
+    def test_pingpong_extra_round_divergence(self, audits_on, monkeypatch):
+        from repro.rectangles import pingpong
+
+        real = pingpong._ascents
+
+        def one_more_round(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
+            meter.charge("pingpong_round", 1)
+            return real(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+
+        monkeypatch.setattr(pingpong, "_ascents", one_more_round)
+        with pytest.raises(InvariantViolation, match="best_rectangle_pingpong.*meter"):
+            pingpong.best_rectangle_pingpong(_tied_matrix())
+
+    def test_exhaustive_budget_overspend_divergence(self, audits_on, monkeypatch):
+        from repro.rectangles import search
+
+        real = search._best_rectangle_bit_v2
+
+        def overspend(matrix, min_cols, anchor_filter, budget, meter):
+            budget.spend()
+            return real(matrix, min_cols, anchor_filter, budget, meter)
+
+        monkeypatch.setattr(search, "_best_rectangle_bit_v2", overspend)
+        with pytest.raises(InvariantViolation, match="best_rectangle_exhaustive.*budget"):
+            search.best_rectangle_exhaustive(
+                _tied_matrix(), memo=False, budget=search.SearchBudget(10**6)
+            )
+
+    def test_lshaped_metered_value_fn_passes(self, audits_on, monkeypatch):
+        # L-shaped values cells through the metered cube-state store.
+        # The audit records those values for the reference, so it
+        # compares the searches without metering the lookups twice.
+        from repro.parallel.lshaped import lshaped_kernel_extract
+        from repro.verify.generator import random_network
+
+        checked = []
+        real = audit._check_search
+
+        def spy(search, matrix, kwargs):
+            checked.append(kwargs.get("value_fn"))
+            return real(search, matrix, kwargs)
+
+        monkeypatch.setattr(audit, "_check_search", spy)
+        net = random_network(12, family="dense")
+        result = lshaped_kernel_extract(net, 3)
+        result.network.validate()
+        assert checked and all(callable(fn) for fn in checked)
