@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.cube import Cube
 from repro.verify import audit as _audit
@@ -47,6 +47,17 @@ class CubeRecord:
     status: CubeStatus = CubeStatus.FREE
     trueval: int = 0
     owner: int = -1
+
+
+def _value_of(rec: Optional[CubeRecord], cube: Cube, asking_pid: int) -> int:
+    """Table 5's value of *cube* to *asking_pid*, given its record (None
+    for a cube never touched, i.e. FREE)."""
+    if rec is None or rec.status is CubeStatus.FREE:
+        return len(cube)
+    if rec.status is CubeStatus.DIVIDED:
+        return 0
+    # COVERED: owner sees the true value, everyone else sees zero.
+    return rec.trueval if rec.owner == asking_pid else 0
 
 
 class CubeStateStore:
@@ -77,13 +88,11 @@ class CubeStateStore:
         """The value the protocol returns to *asking_pid* (Table 5)."""
         if meter is not None:
             meter.charge("cube_state_op", 1)
-        rec = self._recs.get(ref)
-        if rec is None or rec.status is CubeStatus.FREE:
-            return len(ref[1])
-        if rec.status is CubeStatus.DIVIDED:
-            return 0
-        # COVERED: owner sees the true value, everyone else sees zero.
-        return rec.trueval if rec.owner == asking_pid else 0
+        return _value_of(self._recs.get(ref), ref[1], asking_pid)
+
+    def value_fn(self, asking_pid: int, meter=None) -> "CubeValueFn":
+        """The rectangle-search value function of *asking_pid*."""
+        return CubeValueFn(self, asking_pid, meter)
 
     def cover(self, refs: Iterable[CubeRef], pid: int, meter=None) -> None:
         """Speculatively claim *refs* for processor *pid*'s best rectangle."""
@@ -153,3 +162,50 @@ class CubeStateStore:
 
     def __len__(self) -> int:
         return len(self._recs)
+
+
+class CubeValueFn:
+    """:meth:`CubeStateStore.value` as a search ``value_fn`` for one
+    processor: ``fn(node, cube)`` is ``store.value((node, cube), pid,
+    meter=meter)``.
+
+    :meth:`fill_table` values every live cell of a
+    :class:`~repro.rectangles.bitview.BitKCView` by the same rule as
+    :meth:`CubeStateStore.value` and then charges ``cube_state_op`` once
+    for all of them — the values, the count and (since no other charge
+    falls between) the meter's key order are those of one metered call
+    per cell.  Each record is looked up per ref, never by iterating the
+    store, so the fill is safe while other threads add records (the
+    threaded L-shaped run searches outside its lock).
+    """
+
+    __slots__ = ("store", "pid", "meter")
+
+    def __init__(self, store: CubeStateStore, pid: int, meter=None) -> None:
+        self.store = store
+        self.pid = pid
+        self.meter = meter
+
+    def __call__(self, node: str, cube: Cube) -> int:
+        return self.store.value((node, cube), self.pid, meter=self.meter)
+
+    def fill_table(self, view) -> List[int]:
+        """Per-entry-id values of *view*'s live cells (see
+        :meth:`~repro.rectangles.bitview.BitKCView.value_table`)."""
+        get = self.store._recs.get
+        value_of = _value_of
+        pid = self.pid
+        cubes = view.entry_cubes
+        names = view.node_names
+        row_node = view.row_node
+        out: List[int] = [0] * len(cubes)
+        n_cells = 0
+        for rpos, rcells in enumerate(view.cells):
+            n_cells += len(rcells)
+            name = names[row_node[rpos]]
+            for eid in rcells.values():
+                cube = cubes[eid]
+                out[eid] = value_of(get((name, cube)), cube, pid)
+        if self.meter is not None and n_cells:
+            self.meter.charge("cube_state_op", n_cells)
+        return out

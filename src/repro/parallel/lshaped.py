@@ -340,11 +340,9 @@ def lshaped_kernel_extract(
                 mat = matrices[proc.pid]
                 if not mat.rows:
                     return None
-                vf = lambda node, cube: store.value(
-                    (node, cube), proc.pid, meter=proc.meter
-                )
                 found = best_rectangle_pingpong(
-                    mat, value_fn=vf, max_seeds=max_seeds, meter=proc.meter
+                    mat, value_fn=store.value_fn(proc.pid, proc.meter),
+                    max_seeds=max_seeds, meter=proc.meter,
                 )
                 if found is None or found[1] < min_gain:
                     return None

@@ -110,9 +110,7 @@ def lshaped_kernel_extract_threaded(
                 if not mat.rows:
                     continue
                 found = best_rectangle_pingpong(
-                    mat,
-                    value_fn=lambda node, cube: store.value((node, cube), pid),
-                    max_seeds=max_seeds,
+                    mat, value_fn=store.value_fn(pid), max_seeds=max_seeds,
                 )
                 if found is None or found[1] < min_gain:
                     continue

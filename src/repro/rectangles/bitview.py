@@ -23,14 +23,21 @@ and every cell value is a fresh ``value_fn`` call.
   hashes cubes for nodes that actually contribute several rows to a
   rectangle — the common all-distinct case is pure table arithmetic.
 
-The view is *structural*: it never mutates the matrix and is invalidated
-by any matrix mutation (``KCMatrix`` drops its cached view on every
-``add_row``/``add_entry``/``remove_row``/``remove_col``/``merge``).  The
-value table for the pure :func:`~repro.rectangles.rectangle.default_value`
-is cached with the structure; any other ``value_fn`` (e.g. the L-shaped
-speculative cube-state values, which change between search rounds) is
-evaluated freshly per search — still once per cell instead of once per
-(row, col, visit).
+The view is *structural*: it never mutates the matrix.  Every matrix
+mutation but one drops it (``KCMatrix`` recompiles after
+``add_row``/``ensure_col``/``add_entry``/``remove_col``/``merge``).  The
+exception is ``remove_row``, the L-shaped extraction step: it patches the
+cached view in place with :meth:`BitKCView.drop_row`, which clears the
+row's bits, marks its position dead and resets the derived tables, so a
+row removal costs the row's cells instead of a full recompile.  Positions
+and entry ids never move, so a patched view searches exactly like one
+compiled afresh from the smaller matrix.  The value table for the pure
+:func:`~repro.rectangles.rectangle.default_value` is cached with the
+structure; any other ``value_fn`` (e.g. the L-shaped speculative
+cube-state values, which change between search rounds) is evaluated
+freshly per search — still once per cell instead of once per
+(row, col, visit), and with one meter charge for the whole table when
+the function offers a ``fill_table`` (see :meth:`BitKCView.value_table`).
 
 The labels stay the external interface: every rectangle leaving a
 bit-core search carries the original offset labels, so the parallel
@@ -136,8 +143,10 @@ class BitKCView:
         "node_names",
         "row_cost",
         "col_cost",
+        "dead_rows",
         "_blocks",
         "_default_values",
+        "_shared_cols",
         "_dup_rows",
         "_clean_rows",
         "_dominated_anchors",
@@ -166,7 +175,11 @@ class BitKCView:
             self.row_cols, self.col_rows, self.cells, self.entry_cubes,
         ) = dense
         self._blocks = blocks
+        #: Positions of rows :meth:`drop_row` removed; they keep their
+        #: position and entry ids but have no cells.
+        self.dead_rows: Set[int] = set()
         self._default_values: Optional[List[int]] = None
+        self._shared_cols: Optional[int] = None
         self._dup_rows: Optional[Set[int]] = None
         self._clean_rows: Optional[int] = None
         self._dominated_anchors: Optional[int] = None
@@ -176,7 +189,8 @@ class BitKCView:
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
-        return len(self.row_labels)
+        """Live rows (dropped rows keep a position but do not count)."""
+        return len(self.row_labels) - len(self.dead_rows)
 
     @property
     def num_cols(self) -> int:
@@ -184,7 +198,66 @@ class BitKCView:
 
     @property
     def num_entries(self) -> int:
+        """Live cells."""
+        if self.dead_rows:
+            return sum(map(len, self.cells))
         return len(self.entry_cubes)
+
+    def shared_cols(self) -> int:
+        """Bitmask of the columns at least two live rows share.
+
+        Only these columns can enlarge a seed row into a rectangle with
+        more rows; ping-pong ranks its seeds by them and resolves a row
+        with none of them in closed form.  Computed on first request and
+        then kept exact by :meth:`drop_row`.
+        """
+        got = self._shared_cols
+        if got is None:
+            got = 0
+            for cpos, rows in enumerate(self.col_rows):
+                if rows & (rows - 1):
+                    got |= 1 << cpos
+            self._shared_cols = got
+        return got
+
+    def drop_row(self, label: int) -> None:
+        """Patch the view for ``KCMatrix.remove_row(label)``.
+
+        The row's bits are cleared from its columns, its cells emptied,
+        its position marked dead and its label unmapped; the shared-column
+        mask is updated for the row's columns, the dup-row set loses the
+        row (a per-row property), and the tables derived from the whole
+        matrix — clean rows, dominated anchors, suffix potentials — and
+        the memo signature are reset, so they are rebuilt from the
+        patched cells on next use and the memo is skipped.  The default
+        value table stays valid: entry ids never move.
+        """
+        rpos = self.row_pos.pop(label, None)
+        if rpos is None:
+            return
+        col_rows = self.col_rows
+        clear = ~(1 << rpos)
+        shared = self._shared_cols
+        m = self.row_cols[rpos]
+        while m:
+            low = m & -m
+            cpos = low.bit_length() - 1
+            m ^= low
+            rows = col_rows[cpos] & clear
+            col_rows[cpos] = rows
+            if shared is not None and not rows & (rows - 1):
+                shared &= ~low
+        self._shared_cols = shared
+        self.row_cols[rpos] = 0
+        self.cells[rpos] = {}
+        self.dead_rows.add(rpos)
+        if self._dup_rows is not None:
+            self._dup_rows.discard(rpos)
+        self._blocks = None
+        self._signature = None
+        self._clean_rows = None
+        self._dominated_anchors = None
+        self._suffix_pot = None
 
     def dup_rows(self) -> Set[int]:
         """Row positions whose cells repeat an original cube.
@@ -253,11 +326,19 @@ class BitKCView:
         cells = self.cells
         # dup_row_indices's length bound summed over the whole view: when
         # the totals meet it, no cell overlaps and no row repeats a cube.
+        # Only live cells count (dropped rows keep their entry ids).
+        n_cells = sum(map(len, cells))
         bound = (
-            sum(map(mul, row_cost, map(len, cells))) - len(cubes)
+            sum(map(mul, row_cost, map(len, cells))) - n_cells
             + sum(map(mul, col_cost, map(popcount, self.col_rows)))
         )
-        if sum(map(len, cubes)) == bound:
+        if n_cells == len(cubes):
+            total = sum(map(len, cubes))
+        else:
+            total = sum(map(len, map(cubes.__getitem__, chain.from_iterable(
+                map(dict.values, cells)
+            ))))
+        if total == bound:
             return set()
         return set(dup_row_indices(
             (
@@ -380,6 +461,12 @@ class BitKCView:
         one node naming the same original cube always receive equal
         values, so marginal sums and gains match the sparse reference's
         ``value_fn``-per-ref arithmetic exactly.
+
+        A *value_fn* with a ``fill_table(view)`` method (the cube-state
+        store's :class:`~repro.parallel.cubestate.CubeValueFn`) fills the
+        whole table itself, with the same values and meter charges as one
+        metered call per live cell; otherwise the function is called per
+        live cell.  Entries of dropped rows are never read.
         """
         if value_fn is default_value:
             vals = self._default_values
@@ -387,6 +474,9 @@ class BitKCView:
                 vals = [len(cube) for cube in self.entry_cubes]
                 self._default_values = vals
             return vals
+        fill = getattr(value_fn, "fill_table", None)
+        if fill is not None:
+            return fill(self)
         cubes = self.entry_cubes
         names = self.node_names
         out: List[int] = [0] * len(cubes)

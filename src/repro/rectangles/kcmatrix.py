@@ -135,7 +135,7 @@ class KCMatrix:
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        """Record a structural mutation; drops the cached bitset view."""
+        """Record a structural mutation that drops the cached bitset view."""
         if self._entries is None:
             self._sparse()
         self._bitview = None
@@ -194,9 +194,16 @@ class KCMatrix:
                 node_set.discard(label)
                 if not node_set:
                     del self.node_rows[info.node]
+        # The one mutation that keeps the cached view: it is patched in
+        # place (the sparse form above already exists, so the view is
+        # never again the only form).
+        view = self._bitview
+        if view is not None:
+            view.drop_row(label)
         if _audit.enabled():
             _audit.audit_row_removed(self, label)
-        self._touch()
+            if view is not None:
+                _audit.audit_bitview(self, view)
 
     def remove_col(self, label: int) -> None:
         if self._entries is None:
@@ -246,9 +253,10 @@ class KCMatrix:
         """The cached dense bitset view (see :mod:`repro.rectangles.bitview`).
 
         :func:`build_kc_matrix` compiles it with the matrix; otherwise it
-        is compiled from the sparse form on first use.  Every structural
-        mutation drops it, so it is compiled exactly once per matrix
-        version no matter how many searches share the matrix.
+        is compiled from the sparse form on first use.  :meth:`remove_row`
+        patches it in place (see :meth:`BitKCView.drop_row`); every other
+        structural mutation drops it, so it is compiled at most once per
+        run of row removals no matter how many searches share the matrix.
         """
         view = self._bitview
         if view is None:

@@ -13,6 +13,16 @@ it is fast enough for the largest circuits, unlike the exhaustive search
 of :mod:`repro.rectangles.search` which the replicated parallel algorithm
 uses (and which DNFs on them, as in the paper).
 
+Seeds are tried in order of potential ``Σ_c (|rows(c)| − 1)·value``,
+highest first, ties by row label.  Only *shared* columns — those of two
+or more rows — add to it, so the view keeps an exact shared-column mask
+and only rows touching it are scored.  A *private* row (no shared
+column) has potential 0, and its ascent is resolved in closed form: no
+other row can join its columns, so it ends in round 1 or confirms the
+one-row rectangle in round 2, charged and counted as the general loop
+would.  Searches work in view positions and build a :class:`Rectangle`
+only for what they return.
+
 The ascents run on the dense bitmask view — candidate sets are single
 ``&`` operations and cell values are table lookups.  That is the one
 production implementation; :mod:`repro.verify.reference` keeps a
@@ -24,19 +34,25 @@ charges.
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
 from repro.rectangles.bitview import popcount
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.rectangle import Rectangle, ValueFn, default_value
-from repro.rectangles.search import best_of, rectangle_rank
 from repro.verify import audit
 
 
 def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
-    """Yield the (rectangle, gain) each seed's coordinate ascent reaches."""
+    """Run every seed's coordinate ascent on *matrix*'s bitset view.
+
+    Returns the view and the distinct positive-gain fixpoints as
+    ``(-gain, cols, rows)`` position tuples.  Position order is label
+    order, so sorting these tuples sorts the rectangles by
+    :func:`~repro.rectangles.search.rectangle_rank`.
+    """
     view = matrix.bitview()
     values = view.value_table(value_fn)
     row_cols = view.row_cols
@@ -44,8 +60,6 @@ def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
     cells = view.cells
     row_cost = view.row_cost
     col_cost = view.col_cost
-    row_labels = view.row_labels
-    col_labels = view.col_labels
 
     getval = values.__getitem__
 
@@ -126,47 +140,96 @@ def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
                     chosen.append(rpos)
         return tuple(chosen)
 
-    shar1 = [popcount(mask) - 1 for mask in col_rows]
-    getshar = shar1.__getitem__
-    potential: List[int] = [
-        sum(map(mul, map(getshar, rcells.keys()), map(getval, rcells.values())))
-        for rcells in cells
-    ]
-    order = sorted(zip([-p for p in potential], range(len(row_labels))))
-    seeds = [r for _, r in order]
+    # Seed order: (-potential, position) over the live rows, where a
+    # row's potential Σ_c (|rows(c)| − 1)·value(cell_rc) only has terms
+    # in shared columns.  Rows with a shared column are ranked; the
+    # private rest all have potential 0 and slot in, in position order,
+    # among the shared rows of potential 0.
+    shared = view.shared_cols()
+    shar = list(map(popcount, col_rows)) if shared else None
+    keyed: List[Tuple[int, int]] = []
+    private: List[int] = []
+    dead = view.dead_rows
+    for rpos, mask in enumerate(row_cols):
+        m = mask & shared
+        if m:
+            rcells = cells[rpos]
+            p = 0
+            while m:
+                low = m & -m
+                cpos = low.bit_length() - 1
+                m ^= low
+                p += (shar[cpos] - 1) * values[rcells[cpos]]
+            keyed.append((-p, rpos))
+        elif mask or rpos not in dead:
+            private.append(rpos)
+    keyed.sort()
+    n_pos = bisect_left(keyed, (0, -1))
+    n_zero = bisect_right(keyed, (0, len(row_cols)))
+    if n_zero > n_pos:
+        private += [r for _, r in keyed[n_pos:n_zero]]
+        private.sort()
+    seeds = [r for _, r in keyed[:n_pos]] + private + [r for _, r in keyed[n_zero:]]
     if max_seeds is not None:
-        seeds = seeds[:max_seeds]
+        del seeds[max_seeds:]
 
-    # Different seeds funnel into the same ascent states (that is why
-    # the candidate list dedupes at the end), and both half-steps and
-    # the gain are pure functions of the state for the duration of one
-    # search — so memoize them per state tuple.  The round loop itself
-    # still runs per seed, so the meter is charged one pingpong_round per
-    # round actually walked.
+    # A *private* seed (no shared column) ascends in closed form: its
+    # columns are its own cells, the only row owning all of them is
+    # itself, so the ascent either stops in round 1 or reaches
+    # ((seed,), cols) and confirms that fixpoint in round 2 (two memo
+    # hits).  No other ascent ever visits those states, so the memos
+    # below neither help nor miss it.  Needs min_cols ≥ 1 (an empty
+    # column set ends the ascent) and at least one round.
+    closed_form = min_cols >= 1 and max_rounds >= 1
+    dup = view.dup_rows()
+
+    # Different seeds funnel into the same ascent states, and both
+    # half-steps and the gain are pure functions of the state for the
+    # duration of one search — so memoize them per state tuple.  The
+    # round loop itself still runs per seed, so every round actually
+    # walked is counted (and charged as one pingpong_round each).
     memo_cfr: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     memo_rfc: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    # Fixpoint state → the finished (Rectangle, gain), or () when the
-    # gain is not positive.  Rectangles are immutable, so ascents that
-    # converge to the same state can share one object.
+    # Fixpoint state → its (-gain, cols, rows), or () when the gain is
+    # not positive.
     memo_out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], tuple] = {}
+    found: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
 
-    tracing = active_tracer() is not None
     n_rounds = 0
     n_memo_hits = 0
 
     for seed in seeds:
-        rows: Tuple[int, ...] = (seed,)
-        cols: Tuple[int, ...] = ()
-        for _ in range(max_rounds):
-            if meter is not None:
-                meter.charge("pingpong_round", 1)
-            if tracing:
+        if closed_form and not row_cols[seed] & shared:
+            n_rounds += 1
+            cols = cols_for_rows((seed,))
+            if not cols:
+                continue
+            rcells = cells[seed]
+            if len(cols) == 1:
+                marginal = values[rcells[cols[0]]] - row_cost[seed]
+            else:
+                marginal = sum(map(getval, itemgetter(*cols)(rcells))) - row_cost[seed]
+            if marginal <= 0:
+                continue
+            if max_rounds > 1:
                 n_rounds += 1
+                n_memo_hits += 2
+            if seed in dup:
+                gain = view.rect_gain((seed,), cols, values)
+            else:
+                gain = marginal - sum(map(col_cost.__getitem__, cols))
+            if gain > 0:
+                found.append((-gain, cols, (seed,)))
+            continue
+        rows: Tuple[int, ...] = (seed,)
+        cols = ()
+        for _ in range(max_rounds):
+            n_rounds += 1
             new_cols = memo_cfr.get(rows)
             if new_cols is None:
                 new_cols = cols_for_rows(rows)
                 memo_cfr[rows] = new_cols
-            elif tracing:
+            else:
                 n_memo_hits += 1
             if not new_cols:
                 break
@@ -174,7 +237,7 @@ def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
             if new_rows is None:
                 new_rows = rows_for_cols(new_cols)
                 memo_rfc[new_cols] = new_rows
-            elif tracing:
+            else:
                 n_memo_hits += 1
             if not new_rows:
                 break
@@ -187,40 +250,35 @@ def _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
         out = memo_out.get(state)
         if out is None:
             gain = view.rect_gain(rows, cols, values)
-            if gain > 0:
-                out = (
-                    Rectangle(
-                        rows=tuple([row_labels[r] for r in rows]),
-                        cols=tuple([col_labels[c] for c in cols]),
-                    ),
-                    gain,
-                )
-            else:
-                out = ()
+            out = (-gain, cols, rows) if gain > 0 else ()
             memo_out[state] = out
-        elif tracing:
+            if out:
+                found.append(out)
+        else:
             n_memo_hits += 1
-        if out:
-            yield out
-    if tracing:
+    if meter is not None and n_rounds:
+        meter.charge("pingpong_round", n_rounds)
+    if active_tracer() is not None:
         add_counters(
             pingpong_round_visit=n_rounds,
             memo_hit=n_memo_hits,
             ascent_seed=len(seeds),
         )
+    return view, found
 
 
-def rank_candidates(
-    stream: Iterable[Tuple[Rectangle, int]]
-) -> List[Tuple[Rectangle, int]]:
-    """The distinct rectangles of *stream* (best gain per rectangle),
-    best first under :func:`~repro.rectangles.search.rectangle_rank`."""
-    found: dict = {}
-    for rect, gain in stream:
-        key = (rect.rows, rect.cols)
-        if key not in found or found[key][1] < gain:
-            found[key] = (rect, gain)
-    return sorted(found.values(), key=lambda rg: rectangle_rank(*rg))
+def _labelled(view, found) -> Tuple[Rectangle, int]:
+    """The (label rectangle, gain) of one ``(-gain, cols, rows)`` tuple."""
+    neg_gain, cols, rows = found
+    row_labels = view.row_labels
+    col_labels = view.col_labels
+    return (
+        Rectangle(
+            rows=tuple([row_labels[r] for r in rows]),
+            cols=tuple([col_labels[c] for c in cols]),
+        ),
+        -neg_gain,
+    )
 
 
 @audit.audit_search
@@ -238,9 +296,9 @@ def pingpong_candidates(
     e.g. the timing-driven extraction loop, which skips rectangles whose
     new node would violate the depth budget.
     """
-    return rank_candidates(
-        _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
-    )
+    view, found = _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+    found.sort()
+    return [_labelled(view, f) for f in found]
 
 
 @audit.audit_search
@@ -254,10 +312,10 @@ def best_rectangle_pingpong(
 ) -> Optional[Tuple[Rectangle, int]]:
     """Best rectangle found by seeded coordinate ascent.
 
-    Every row seeds one ascent (most-shared rows first; *max_seeds* caps
-    the number tried).  Deterministic: ties break toward
-    lexicographically smaller (cols, rows).
+    Every row seeds one ascent (highest shared-column potential first,
+    then private rows among the potential-0 ones in label order;
+    *max_seeds* caps the number tried).  Deterministic: ties break
+    toward lexicographically smaller (cols, rows).
     """
-    return best_of(
-        _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
-    )
+    view, found = _ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter)
+    return _labelled(view, min(found)) if found else None

@@ -212,9 +212,25 @@ def audit_kcmatrix(mat: "KCMatrix") -> None:
 
 
 def audit_bitview(mat: "KCMatrix", view) -> None:
-    """Sparse/bitview parity: the dense compilation mirrors the matrix."""
-    if view.row_labels != sorted(mat.rows):
-        _fail("bitview row_labels != sorted matrix rows")
+    """Sparse/bitview parity: the dense compilation mirrors the matrix.
+
+    A view patched by ``remove_row`` is compared on its live rows: its
+    dead positions must have no cells, no bits and no label mapping, and
+    its shared-column mask, once computed, must equal a fresh one.
+    """
+    live = [lab for i, lab in enumerate(view.row_labels) if i not in view.dead_rows]
+    if live != sorted(mat.rows):
+        _fail("bitview live row labels != sorted matrix rows")
+    if sorted(view.row_pos) != sorted(mat.rows):
+        _fail("bitview row_pos maps labels that are not matrix rows")
+    for i in view.dead_rows:
+        if view.cells[i] or view.row_cols[i]:
+            _fail(f"bitview dead row pos {i} still has cells or bits")
+    shared = view._shared_cols
+    if shared is not None and shared != sum(
+        1 << j for j, rows in enumerate(view.col_rows) if rows & (rows - 1)
+    ):
+        _fail("bitview shared-column mask disagrees with the column masks")
     if view.col_labels != sorted(mat.cols):
         _fail("bitview col_labels != sorted matrix cols")
     if view.num_entries != mat.num_entries:
@@ -242,7 +258,11 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
     for i, mask in enumerate(view.row_cols):
         if popcount(mask) != len(view.cells[i]):
             _fail(f"bitview row mask popcount disagrees at row pos {i}")
-    for i, lab in enumerate(view.row_labels):
+    # With every entry's bit checked above, an equal total leaves no
+    # stale bit (a dropped row's included) in any column mask.
+    if sum(map(popcount, view.col_rows)) != n_cells:
+        _fail("bitview column masks carry bits of no cell")
+    for lab, i in view.row_pos.items():
         if view.row_cost[i] != len(mat.rows[lab].cokernel) + 1:
             _fail(f"bitview row_cost[{lab}] disagrees with cokernel size")
     for j, lab in enumerate(view.col_labels):

@@ -21,10 +21,9 @@ the global search statistics, and have no memo.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.rectangles.kcmatrix import KCMatrix
-from repro.rectangles.pingpong import rank_candidates
 from repro.rectangles.rectangle import (
     Rectangle,
     ValueFn,
@@ -335,6 +334,19 @@ def _ascents_set(
         gain = rectangle_gain(matrix, rect, value_fn)
         if gain > 0:
             yield rect, gain
+
+
+def rank_candidates(
+    stream: Iterable[Tuple[Rectangle, int]]
+) -> List[Tuple[Rectangle, int]]:
+    """The distinct rectangles of *stream* (best gain per rectangle),
+    best first under :func:`~repro.rectangles.search.rectangle_rank`."""
+    found: dict = {}
+    for rect, gain in stream:
+        key = (rect.rows, rect.cols)
+        if key not in found or found[key][1] < gain:
+            found[key] = (rect, gain)
+    return sorted(found.values(), key=lambda rg: rectangle_rank(*rg))
 
 
 # The production search signatures (minus the memo).

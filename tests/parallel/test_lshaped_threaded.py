@@ -5,6 +5,8 @@ must keep the network functionally equivalent and reduce literals.  We
 run several repetitions because interleavings differ run to run.
 """
 
+import sys
+
 import pytest
 
 from repro.network.simulate import random_equivalence_check
@@ -15,6 +17,21 @@ class TestThreadedLShaped:
     @pytest.mark.parametrize("rep", range(4))
     def test_function_preserved_across_interleavings(self, small_circuit, rep):
         out = lshaped_kernel_extract_threaded(small_circuit, 3, seed=rep)
+        assert random_equivalence_check(
+            small_circuit, out, vectors=128, outputs=small_circuit.outputs
+        )
+
+    @pytest.mark.parametrize("rep", range(5))
+    def test_four_threads_under_fine_switching(self, small_circuit, rep):
+        """Four threads with a tiny switch interval, so one thread's
+        one-pass value-table fill runs while others add cube records."""
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = lshaped_kernel_extract_threaded(small_circuit, 4, seed=rep)
+        finally:
+            sys.setswitchinterval(prev)
+        assert out.literal_count() < small_circuit.literal_count()
         assert random_equivalence_check(
             small_circuit, out, vectors=128, outputs=small_circuit.outputs
         )

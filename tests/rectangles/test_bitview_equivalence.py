@@ -205,6 +205,14 @@ class TestEndToEnd:
             assert net.literal_count() == 21
 
 
+def _one_entry_matrix() -> KCMatrix:
+    """A 1×1 matrix whose labels no circuit matrix here uses."""
+    other = KCMatrix()
+    other.add_row(999_999, "fresh", cube([1]))
+    other.add_entry(999_999, other.ensure_col(cube([90, 91]), lambda: 999_998))
+    return other
+
+
 class TestViewStructure:
     def test_view_matches_matrix(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
@@ -220,15 +228,62 @@ class TestViewStructure:
             assert view.row_cols[rpos] >> cpos & 1
             assert view.col_rows[cpos] >> rpos & 1
 
+    MUTATIONS = {
+        "add_row": lambda mat: mat.add_row(999_999, "fresh", cube([1])),
+        "ensure_col": lambda mat: mat.ensure_col(cube([90, 91]), lambda: 999_999),
+        "add_entry": lambda mat: mat.add_entry(*next(
+            (r, c) for r in sorted(mat.rows) for c in sorted(mat.cols)
+            if (r, c) not in mat.entries
+        )),
+        "remove_col": lambda mat: mat.remove_col(min(mat.cols)),
+        "merge": lambda mat: mat.merge(_one_entry_matrix()),
+    }
+
     def test_view_invalidated_by_mutation(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
+        """Every mutation but ``remove_row`` drops the cached view."""
+        for mutation, apply in sorted(self.MUTATIONS.items()):
+            mat = build_kc_matrix(eq1_network)
+            view = mat.bitview()
+            assert mat.bitview() is view  # cached while untouched
+            apply(mat)
+            view2 = mat.bitview()
+            assert view2 is not view, mutation
+            assert view2.num_rows == mat.num_rows, mutation
+            assert view2.num_entries == mat.num_entries, mutation
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_remove_row_patches_view(self, seed):
+        """``remove_row`` patches the cached view in place, and after
+        random removal sequences both searchers return on it what they
+        return, charges included, on a freshly compiled copy."""
+        rng = random.Random(seed)
+        mat = (
+            build_kc_matrix(make_circuit("misex3", scale=0.1))
+            if seed % 2 else random_kc_matrix(seed, n_rows=18)
+        )
         view = mat.bitview()
-        assert mat.bitview() is view  # cached while untouched
-        some_row = next(iter(mat.rows))
-        mat.remove_row(some_row)
-        view2 = mat.bitview()
-        assert view2 is not view
-        assert view2.num_rows == mat.num_rows
+        values = lambda node, c: (3 * len(c) + sum(c)) % 4 - 1  # noqa: E731
+        while mat.rows:
+            for label in rng.sample(sorted(mat.rows), min(len(mat.rows), 2)):
+                mat.remove_row(label)
+            assert mat.bitview() is view
+            fresh = KCMatrix()
+            fresh.merge(mat)
+            assert fresh.bitview().dead_rows == set()
+            assert view.num_rows == fresh.bitview().num_rows == mat.num_rows
+            assert view.num_entries == fresh.bitview().num_entries
+            for search, kwargs in (
+                (best_rectangle_pingpong, {}),
+                (best_rectangle_pingpong, {"max_seeds": 3}),
+                (pingpong_candidates, {"value_fn": values, "min_cols": 1}),
+                (best_rectangle_exhaustive, {}),
+                (best_rectangle_exhaustive, {"value_fn": values}),
+            ):
+                got = {}
+                for name, m in (("patched", mat), ("fresh", fresh)):
+                    meter = CostMeter()
+                    got[name] = (search(m, meter=meter, **kwargs), meter.counts)
+                assert got["patched"] == got["fresh"], (search.__name__, kwargs)
 
     def test_block_tables_equal_full_scan(self):
         # The paper example has both a clean node and nodes whose rows

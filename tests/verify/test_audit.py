@@ -106,6 +106,35 @@ class TestKCMatrixAudits:
         with pytest.raises(InvariantViolation, match="mask"):
             audit.audit_bitview(mat, view)
 
+    def test_patched_bitview_audited_at_remove_row(self, audits_on, monkeypatch):
+        from repro.rectangles.bitview import BitKCView
+
+        mat = _small_matrix()
+        view = mat.bitview()
+        view.shared_cols()
+        mat.remove_row(2)  # patched in place, and the patch is audited
+        assert mat.bitview() is view and view.dead_rows == {1}
+        monkeypatch.setattr(BitKCView, "drop_row", lambda self, label: None)
+        with pytest.raises(InvariantViolation, match="live row labels"):
+            mat.remove_row(3)
+
+    @pytest.mark.parametrize("corrupt, msg", [
+        (lambda view: view.col_rows.__setitem__(0, view.col_rows[0] | 0b10),
+         "bits of no cell"),
+        (lambda view: setattr(view, "_shared_cols", view._shared_cols ^ 1),
+         "shared-column mask"),
+        (lambda view: view.row_pos.__setitem__(2, 1), "row_pos"),
+    ])
+    def test_corrupted_patch_caught(self, corrupt, msg):
+        mat = _small_matrix()
+        view = mat.bitview()
+        view.shared_cols()
+        mat.remove_row(2)
+        audit.audit_bitview(mat, view)
+        corrupt(view)
+        with pytest.raises(InvariantViolation, match=msg):
+            audit.audit_bitview(mat, view)
+
     @pytest.mark.parametrize("table", ["clean", "dup_rows"])
     def test_tampered_block_table_caught(self, audits_on, table):
         net = make_circuit("misex3", scale=0.1)
