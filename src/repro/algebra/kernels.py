@@ -7,14 +7,16 @@ The cube *C* used to reach kernel ``k = f/C`` is its *co-kernel*.
 The enumeration is the classic recursion from Brayton & Rudell (MIS,
 1987), run over per-expression bitmask encodings for speed: literals of
 *f* are mapped to bit positions in ascending global-id order, cubes become
-integers, and the "already generated" prune is a mask test against the
-current literal index.
+integers, each recursion level visits only the literals that occur in at
+least two of its cubes (no other literal selects a kernel), and the
+"already generated" prune is a mask test against the current literal
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.algebra.cube import Cube
 from repro.algebra.sop import Sop, sop_support
@@ -42,7 +44,7 @@ class Kernel:
 
 
 class _MaskSpace:
-    """Bidirectional mapping between global literal ids and local bits."""
+    """Mapping from global literal ids to local bits (ascending id order)."""
 
     __slots__ = ("lits", "bit")
 
@@ -56,18 +58,36 @@ class _MaskSpace:
             m |= 1 << self.bit[l]
         return m
 
-    def to_cube(self, mask: int) -> Cube:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.lits[i])
-            mask >>= 1
-            i += 1
-        return tuple(out)
 
-    def to_sop(self, masks: Sequence[int]) -> Sop:
-        return tuple(sorted(self.to_cube(m) for m in masks))
+def _rec(cubes: List[int], cok: int, j: int,
+         found: Dict[Tuple[Tuple[int, ...], int], None], meter) -> None:
+    """Record ``(cubes, cok)`` in *found*, then recurse on every literal
+    ≥ *j* that occurs in two or more of *cubes*.  (A module function, not
+    a closure over *found*: a self-referencing closure is a reference
+    cycle, which would keep every call's *found* alive until the cyclic
+    collector ran.)"""
+    if meter is not None:
+        meter.charge("kernel_cube_visit", len(cubes))
+    found.setdefault((tuple(cubes), cok), None)
+    # Only a literal in two or more cubes can select a kernel.
+    seen = twice = 0
+    for m in cubes:
+        twice |= seen & m
+        seen |= m
+    twice &= -1 << j
+    while twice:
+        b = twice & -twice
+        twice ^= b
+        sel = [m for m in cubes if m & b]
+        co = sel[0]
+        for m in sel[1:]:
+            co &= m
+        if co & (b - 1):
+            # The common cube contains a literal with smaller index:
+            # this kernel was already generated from that literal.
+            continue
+        sub = sorted(m & ~co for m in sel)
+        _rec(sub, cok | co, b.bit_length(), found, meter)
 
 
 def kernels(f: Sop, meter=None) -> List[Kernel]:
@@ -91,34 +111,27 @@ def kernels(f: Sop, meter=None) -> List[Kernel]:
     for m in masks[1:]:
         common &= m
     base = sorted(m & ~common for m in masks)
-    nlits = len(space.lits)
     found: Dict[Tuple[Tuple[int, ...], int], None] = {}
+    _rec(base, common, 0, found, meter)
+    lits = space.lits
+    decoded: Dict[int, Cube] = {}
 
-    def rec(cubes: List[int], cok: int, j: int) -> None:
-        if meter is not None:
-            meter.charge("kernel_cube_visit", len(cubes))
-        found.setdefault((tuple(cubes), cok), None)
-        for i in range(j, nlits):
-            b = 1 << i
-            sel = [m for m in cubes if m & b]
-            if len(sel) < 2:
-                continue
-            co = sel[0]
-            for m in sel[1:]:
-                co &= m
-            if co & (b - 1):
-                # The common cube contains a literal with smaller index:
-                # this kernel was already generated from that literal.
-                continue
-            sub = sorted(m & ~co for m in sel)
-            rec(sub, cok | co, i + 1)
+    def cube_of(mask: int) -> Cube:
+        cube = decoded.get(mask)
+        if cube is None:
+            held = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                held.append(lits[low.bit_length() - 1])
+                rest ^= low
+            cube = decoded[mask] = tuple(held)
+        return cube
 
-    rec(base, common, 0)
-    out = []
-    for (cube_masks, cok_mask) in found.keys():
-        out.append(
-            Kernel(expression=space.to_sop(cube_masks), cokernel=space.to_cube(cok_mask))
-        )
+    out = [
+        Kernel(expression=tuple(sorted(map(cube_of, cube_masks))), cokernel=cube_of(cok_mask))
+        for cube_masks, cok_mask in found
+    ]
     out.sort(key=lambda k: (k.cokernel, k.expression))
     return out
 

@@ -58,6 +58,7 @@ class PartialRectangle:
     src_pid: int
     dst_pid: int
     new_node: str
+    seq: int  # extraction order: the run-wide counter in new_node
     kernel: Sop
     # (node, cokernel, covered cube refs) per foreign row.
     rows: List[Tuple[str, Cube, Tuple[CubeRef, ...]]]
@@ -398,8 +399,8 @@ def lshaped_kernel_extract(
                         foreign.setdefault(owner, []).extend(rows)
                 for dst, rows in sorted(foreign.items()):
                     msg = PartialRectangle(
-                        src_pid=proc.pid, dst_pid=dst,
-                        new_node=new_name, kernel=kernel_sop, rows=rows,
+                        src_pid=proc.pid, dst_pid=dst, new_node=new_name,
+                        seq=counter - 1, kernel=kernel_sop, rows=rows,
                     )
                     delivered = machine.send(
                         proc.pid, dst, msg.words(), name="partial-rect"
@@ -506,10 +507,11 @@ def _recover_lshaped(
     kernel-cube columns that follow from node ownership under the
     offset-based global labeling — is dealt round-robin to survivors,
     who rebuild slabs for the inherited nodes next cycle.  Finally every
-    journaled (undelivered) partial rectangle is replayed to the current
-    owner of each affected node in a ``recovery-drain`` phase.  Returns
-    True when anything was recovered, so the caller can force another
-    extraction cycle over the repaired state.
+    journaled (undelivered) partial rectangle is replayed, in extraction
+    order, to the current owner of each affected node in a
+    ``recovery-drain`` phase.  Returns True when anything was recovered,
+    so the caller can force another extraction cycle over the repaired
+    state.
     """
     fa = machine.faults
     newly = machine.take_detected()
@@ -530,7 +532,14 @@ def _recover_lshaped(
             detail=f"{len(moved)} nodes -> {len(alive)} survivors, "
                    f"{released} claims released",
         )
-    pending = journal.take_undelivered()
+    # Replay in extraction order, the order a live owner would have
+    # applied them.  Journal order differs: a message stranded in a dead
+    # mailbox is logged only now, after transport losses of rectangles
+    # extracted later -- often the sender's repeats over the same cubes,
+    # speculated while the earlier rectangle went unapplied.  Applied
+    # first, the earlier one divides those cubes and the repeats no
+    # longer pay.
+    pending = sorted(journal.take_undelivered(), key=lambda e: e.message.seq)
     if not pending:
         return bool(newly)
 

@@ -124,7 +124,8 @@ def lshaped_kernel_extract_threaded(
                     refs = [mat.cube_ref(r, c) for r in rect.rows for c in rect.cols]
                     store.cover(refs, pid)
                     with counter_lock:
-                        new_name = f"[T{pid}_{counter[0]}]"
+                        seq = counter[0]
+                        new_name = f"[T{pid}_{seq}]"
                         counter[0] += 1
                     work_net.add_node(new_name, kernel_sop)
                     x_lit = work_net.table.id_of(new_name)
@@ -152,8 +153,8 @@ def lshaped_kernel_extract_threaded(
                             mailbox[owner].append(
                                 PartialRectangle(
                                     src_pid=pid, dst_pid=owner,
-                                    new_node=new_name, kernel=kernel_sop,
-                                    rows=rows,
+                                    new_node=new_name, seq=seq,
+                                    kernel=kernel_sop, rows=rows,
                                 )
                             )
                     for r in rect.rows:

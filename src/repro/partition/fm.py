@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
+from repro.partition.graphs import Graph
 
 
 class _GainBuckets:
@@ -56,17 +56,16 @@ class _GainBuckets:
         return len(self.gain_of)
 
 
-def _vertex_gain(graph: "nx.Graph", v: str, side: Mapping[str, int]) -> int:
+def _vertex_gain(graph: Graph, v: str, side: Mapping[str, int]) -> int:
     gain = 0
     sv = side[v]
-    for u in graph.neighbors(v):
-        w = graph[v][u].get("weight", 1)
+    for u, w in graph.adj[v].items():
         gain += w if side[u] != sv else -w
     return gain
 
 
 def fm_bipartition(
-    graph: "nx.Graph",
+    graph: Graph,
     balance: float = 0.45,
     seed: int = 0,
     max_passes: int = 12,
@@ -81,10 +80,10 @@ def fm_bipartition(
     at ``target_fraction`` of the weight; used by recursive bisection for
     non-power-of-two splits).  Returns the assignment mapping.
     """
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph.weight)
     if not nodes:
         return {}
-    weights = {v: graph.nodes[v].get("weight", 1) for v in nodes}
+    weights = graph.weight
     total_w = sum(weights.values())
     target0 = total_w * target_fraction
     slack = total_w * max(0.0, target_fraction - balance * target_fraction) + max(
@@ -118,7 +117,6 @@ def fm_bipartition(
         cumulative = 0
         best_prefix = 0
         best_cum = 0
-        locked: Set[str] = set()
 
         while len(buckets):
             w0_now = w0
@@ -131,19 +129,16 @@ def fm_bipartition(
             v = buckets.pop_best(allowed)
             if v is None:
                 break
-            gain = _vertex_gain(graph, v, side)
-            cumulative += gain
+            cumulative += _vertex_gain(graph, v, side)
             old = side[v]
-            side[v] = 1 - old
+            new = side[v] = 1 - old
             w0 += weights[v] * (1 if old == 1 else -1)
-            locked.add(v)
             moves.append((v, old))
-            # Neighbor gains change by ±2w depending on relative sides.
-            for u in graph.neighbors(v):
-                if u in locked:
-                    continue
-                buckets.remove(u)
-                buckets.insert(u, _vertex_gain(graph, u, side))
+            # Edge {u, v} now counts -w toward u's gain if v joined u's
+            # side, +w if v left it.  Moved (locked) vertices are out of
+            # the buckets, and update() skips them.
+            for u, w in graph.adj[v].items():
+                buckets.update(u, -2 * w if side[u] == new else 2 * w)
             if cumulative > best_cum:
                 best_cum = cumulative
                 best_prefix = len(moves)

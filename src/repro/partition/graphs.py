@@ -11,21 +11,50 @@ balance constraints track work, not node count.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Mapping, Sequence
 
 from repro.algebra.sop import sop_support
 from repro.network.boolean_network import BooleanNetwork, base_signal
 
 
-def circuit_graph(network: BooleanNetwork) -> "nx.Graph":
+class Graph:
+    """Undirected weighted graph: ``weight[v]`` is vertex *v*'s weight and
+    ``adj[u][v] == adj[v][u]`` the weight of edge ``{u, v}``.  Every vertex
+    has an ``adj`` entry, possibly empty; there are no self-loops."""
+
+    __slots__ = ("weight", "adj")
+
+    def __init__(self) -> None:
+        self.weight: Dict[str, int] = {}
+        self.adj: Dict[str, Dict[str, int]] = {}
+
+    def add_node(self, v: str, weight: int = 1) -> None:
+        self.weight[v] = weight
+        self.adj.setdefault(v, {})
+
+    def add_edge(self, u: str, v: str, weight: int = 1) -> None:
+        """Add *weight* to edge ``{u, v}`` between two added vertices,
+        creating the edge if absent."""
+        self.adj[u][v] = self.adj[u].get(v, 0) + weight
+        self.adj[v][u] = self.adj[u][v]
+
+    def subgraph(self, vertices: Sequence[str]) -> "Graph":
+        """The subgraph induced by *vertices* (a new graph, not a view)."""
+        sub = Graph()
+        keep = set(vertices)
+        for v in vertices:
+            sub.weight[v] = self.weight[v]
+            sub.adj[v] = {u: w for u, w in self.adj[v].items() if u in keep}
+        return sub
+
+
+def circuit_graph(network: BooleanNetwork) -> Graph:
     """Undirected weighted graph over internal nodes.
 
-    Vertex attribute ``weight`` = node literal count; edge attribute
-    ``weight`` = number of fanin literals realizing the connection.
+    Vertex weight = node literal count; edge weight = number of fanin
+    literals realizing the connection, summed over both directions.
     """
-    g = nx.Graph()
+    g = Graph()
     for n in network.nodes:
         g.add_node(n, weight=max(1, network.literal_count(n)))
     for n, f in network.nodes.items():
@@ -35,19 +64,18 @@ def circuit_graph(network: BooleanNetwork) -> "nx.Graph":
             if s in network.nodes and s != n:
                 refs[s] = refs.get(s, 0) + 1
         for s, w in refs.items():
-            if g.has_edge(n, s):
-                g[n][s]["weight"] += w
-            else:
-                g.add_edge(n, s, weight=w)
+            g.add_edge(n, s, weight=w)
     return g
 
 
-def cut_size(graph: "nx.Graph", assignment: Mapping[str, int]) -> int:
+def cut_size(graph: Graph, assignment: Mapping[str, int]) -> int:
     """Total weight of edges whose endpoints sit in different blocks."""
     total = 0
-    for u, v, data in graph.edges(data=True):
-        if assignment[u] != assignment[v]:
-            total += data.get("weight", 1)
+    for u, nbrs in graph.adj.items():
+        bu = assignment[u]
+        for v, w in nbrs.items():
+            if u < v and bu != assignment[v]:
+                total += w
     return total
 
 
@@ -61,9 +89,9 @@ def block_nodes(assignment: Mapping[str, int], nblocks: int) -> List[List[str]]:
     return out
 
 
-def block_weights(graph: "nx.Graph", assignment: Mapping[str, int], nblocks: int) -> List[int]:
+def block_weights(graph: Graph, assignment: Mapping[str, int], nblocks: int) -> List[int]:
     """Total vertex weight per block."""
     out = [0] * nblocks
     for n, b in assignment.items():
-        out[b] += graph.nodes[n].get("weight", 1)
+        out[b] += graph.weight[n]
     return out

@@ -119,14 +119,20 @@ def replay_entry(entry: CorpusEntry, vectors: int = 256) -> "CheckOutcome":
     pass.
 
     Entries that record a fault plan replay it with the recorded seed,
-    so a chaos repro exercises the exact recovery path that once failed.
+    so a chaos repro exercises the exact recovery path that once failed,
+    and are held to the chaos sweep's quality oracle against a
+    fault-free run of the same path.
     """
     from repro.verify import audit
-    from repro.verify.fuzz import check_path
+    from repro.verify.fuzz import check_path, fault_quality_outcome
     from repro.verify.paths import get_path
 
+    path = get_path(entry.path)
     with audit.audits_on():
-        outcome, _ = check_path(entry.network, get_path(entry.path),
-                                vectors=vectors, faults=entry.fault_plan,
-                                fault_seed=entry.fault_seed)
+        outcome, final = check_path(entry.network, path, vectors=vectors,
+                                    faults=entry.fault_plan,
+                                    fault_seed=entry.fault_seed)
+        if outcome is None and entry.fault_plan:
+            _, fault_free = check_path(entry.network, path, vectors=vectors)
+            outcome = fault_quality_outcome(final, fault_free)
     return outcome

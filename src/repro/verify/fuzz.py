@@ -251,6 +251,23 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     return report
 
 
+def fault_quality_outcome(final: Optional[int],
+                          fault_free: Optional[int]) -> CheckOutcome:
+    """The chaos oracle on quality: the post-recovery literal count
+    *final* may exceed the *fault_free* one by 5%, with an absolute
+    floor of one small rectangle -- on tiny fuzz networks a single
+    diverged greedy choice costs a handful of literals, which is
+    recovery working as designed; the relative bound is what matters on
+    real circuits.  Either count ``None`` (its run failed) passes here;
+    the failing run is reported on its own."""
+    if final is None or not fault_free:
+        return None
+    if final - fault_free > max(fault_free * 0.05, 5):
+        return ("fault-quality", f"post-recovery LC {final} exceeds "
+                                 f"fault-free {fault_free} by more than 5%")
+    return None
+
+
 def _chaos_sweep(
     report: FuzzReport,
     config: FuzzConfig,
@@ -266,10 +283,11 @@ def _chaos_sweep(
 
     One :meth:`FaultPlan.random_single` schedule per (run, path) —
     deterministic in ``config.fault_seed + run`` — and one extra oracle
-    on top of the usual ones: recovery must leave the final literal
-    count within 5% of the fault-free result for the same path (crash
-    recovery re-deals work, so exact equality is not promised, but
-    near-misses bound how much quality a failure may cost).
+    on top of the usual ones (:func:`fault_quality_outcome`): recovery
+    must leave the final literal count within 5% of the fault-free
+    result for the same path (crash recovery re-deals work, so exact
+    equality is not promised, but near-misses bound how much quality a
+    failure may cost).
     """
     from repro.faults import FaultPlan
 
@@ -288,18 +306,8 @@ def _chaos_sweep(
                 faults=plan, fault_seed=fseed,
             )
         report.checks += 1
-        if outcome is None and final is not None:
-            fault_free = finals.get(path.name)
-            # 5% relative, with an absolute floor of one small
-            # rectangle: on tiny fuzz networks a single diverged greedy
-            # choice costs a handful of literals, which is recovery
-            # working as designed; the relative bound is what matters on
-            # real circuits.
-            if fault_free is not None and fault_free > 0 \
-                    and final - fault_free > max(fault_free * 0.05, 5):
-                outcome = ("fault-quality",
-                           f"post-recovery LC {final} exceeds "
-                           f"fault-free {fault_free} by more than 5%")
+        if outcome is None:
+            outcome = fault_quality_outcome(final, finals.get(path.name))
         if outcome is None:
             continue
         kind, detail = outcome
